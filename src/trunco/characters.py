@@ -24,10 +24,6 @@ class FormalCharacter:
     def coefficient(self, beta):
         return self.table.get(tuple(beta), 0)
 
-    def support(self):
-        return sorted((b for b, c in self.table.items() if c),
-                      key=lambda b: (height(b), b))
-
     def __eq__(self, other):
         if not isinstance(other, FormalCharacter):
             return NotImplemented
@@ -75,17 +71,17 @@ _PARTITIONS = {}
 
 
 def partition_cache(datum):
-    if id(datum) not in _PARTITIONS:
-        _PARTITIONS[id(datum)] = PartitionCache(datum.positive_roots)
-    return _PARTITIONS[id(datum)]
+    if datum.key not in _PARTITIONS:
+        _PARTITIONS[datum.key] = PartitionCache(datum.positive_roots)
+    return _PARTITIONS[datum.key]
 
 
 def kostant_partition(datum, beta):
     return partition_cache(datum).count(beta)
 
 
-def _cone(rank, depth):
-    """All nonnegative integer vectors of height <= depth."""
+def cone(rank, depth):
+    """All nonnegative integer vectors of height <= depth, by height."""
     out = [()]
     for _ in range(rank):
         out = [v + (c,) for v in out for c in range(depth - height(v) + 1)]
@@ -101,16 +97,16 @@ def verma_character(datum, lam, depth, method="convolution"):
     copies of the lowering operators directly; the two must agree.
     """
     n = lam.level
-    cone = _cone(datum.rank, depth)
+    offsets = cone(datum.rank, depth)
     if method == "convolution":
         cache = partition_cache(datum)
-        layer = {b: cache.count(b) for b in cone}
-        current = {b: int(height(b) == 0) for b in cone}
+        layer = {b: cache.count(b) for b in offsets}
+        current = {b: int(height(b) == 0) for b in offsets}
         for _ in range(n + 1):
             nxt = {}
-            for b in cone:
+            for b in offsets:
                 total = 0
-                for g in cone:
+                for g in offsets:
                     if height(g) > height(b):
                         break
                     rem = tuple(x - y for x, y in zip(b, g))
@@ -121,7 +117,7 @@ def verma_character(datum, lam, depth, method="convolution"):
             current = nxt
         table = current
     elif method == "pbw":
-        table = {b: _pbw_count(datum, b, n) for b in cone}
+        table = {b: _pbw_count(datum, b, n) for b in offsets}
     else:
         raise ValueError("unknown method %r" % method)
     return FormalCharacter(base=lam[0], depth=depth, table=table)

@@ -13,20 +13,12 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import engine, kl, oracle
-from .characters import height, kostant_partition, verma_character
+from .characters import cone, height, kostant_partition, verma_character
 from .root_datum import Weight, build_root_datum
 from .trunc_weights import TruncatedWeight
-
-
-@dataclass
-class QuerySpec:
-    datum: object
-    lam: TruncatedWeight
-    nu: TruncatedWeight = None
 
 
 class CliError(ValueError):
@@ -75,6 +67,8 @@ def parse_vector(datum, text):
 
 
 def _query(args, need_nu=True):
+    """(datum, lambda, nu) from the common arguments; nu is None unless
+    need_nu."""
     datum = build_root_datum(args.type)
     lam = parse_weight(datum, getattr(args, "lam"))
     if args.n is not None and lam.level != args.n:
@@ -85,7 +79,7 @@ def _query(args, need_nu=True):
         nu = parse_weight(datum, args.nu)
         if nu.level != lam.level:
             raise CliError("--lambda and --nu have different levels")
-    return QuerySpec(datum, lam, nu)
+    return datum, lam, nu
 
 
 # -- persistent KL cache ----------------------------------------------
@@ -103,21 +97,19 @@ def _load_kl_cache(group, path):
         return
     with open(path) as fh:
         data = json.load(fh)
-    memo = kl._KL_MEMO.setdefault(id(group), {})
     for pair, coeffs in data.items():
         xw, yw = pair.split("|")
         x = group.from_word(parse_word(xw))
         y = group.from_word(parse_word(yw))
-        memo[(x.key, y.key)] = tuple(coeffs)
+        group._kl_memo[(x.key, y.key)] = tuple(coeffs)
 
 
 def _save_kl_cache(group, path):
     if path is None:
         return
-    memo = kl._KL_MEMO.get(id(group), {})
     by_key = {w.key: w for w in group.elements()}
     data = {}
-    for (xk, yk), coeffs in memo.items():
+    for (xk, yk), coeffs in group._kl_memo.items():
         xw = ",".join(str(i + 1) for i in by_key[xk].word)
         yw = ",".join(str(i + 1) for i in by_key[yk].word)
         data["%s|%s" % (xw, yw)] = list(coeffs)
@@ -128,15 +120,15 @@ def _save_kl_cache(group, path):
 # -- subcommands -------------------------------------------------------
 
 def cmd_mult(args):
-    q = _query(args)
-    query = engine.MultiplicityQuery(q.datum, q.lam, q.nu)
+    datum, lam, nu = _query(args)
+    query = engine.MultiplicityQuery(datum, lam, nu)
     value, trace = engine.multiplicity(query, trace=args.trace)
     out = {"value": value}
     if args.trace:
         out["trace"] = trace.to_dict()
     status = 0
     if args.verify:
-        check = oracle.oracle_multiplicity(q.datum, q.lam, q.nu, args.depth)
+        check = oracle.oracle_multiplicity(datum, lam, nu, args.depth)
         out["oracle"] = check
         if check != value:
             status = 3
@@ -149,8 +141,8 @@ def cmd_mult(args):
 
 
 def cmd_table(args):
-    q = _query(args, need_nu=False)
-    table = engine.multiplicity_table(q.datum, q.lam, args.depth)
+    datum, lam, _ = _query(args, need_nu=False)
+    table = engine.multiplicity_table(datum, lam, args.depth)
     items = sorted(table.items(), key=lambda kv: kv[0].coords, reverse=True)
     out = {"entries": [{"nu_0": str(w), "value": v} for w, v in items]}
     _emit(args, out, lambda o: "\n".join(
@@ -202,12 +194,12 @@ def cmd_character(args):
 
 
 def cmd_oracle(args):
-    q = _query(args)
-    value = oracle.oracle_multiplicity(q.datum, q.lam, q.nu, args.depth)
+    datum, lam, nu = _query(args)
+    value = oracle.oracle_multiplicity(datum, lam, nu, args.depth)
     out = {"value": value}
     if args.invariants is not None:
         levi = [int(t) - 1 for t in args.invariants.split(",") if t.strip()]
-        module = oracle.build_verma(q.datum, q.lam,
+        module = oracle.build_verma(datum, lam,
                                     args.depth if args.depth is not None else 3)
         ch = oracle.invariants_character(module, levi)
         out["invariants"] = [{"beta": list(b), "dim": d}
@@ -219,7 +211,6 @@ def cmd_oracle(args):
 def cmd_verify_suite(args):
     """Engine against oracle on a fixed small sweep."""
     cases = []
-    a1 = build_root_datum("A1")
     for tail in ((0,), (1,)):
         for lam0 in range(3):
             cases.append(("A1", 1, (lam0,), (tail,), 3))
@@ -232,7 +223,7 @@ def cmd_verify_suite(args):
         datum = build_root_datum(type_str)
         lam = TruncatedWeight([Weight(lam0)] + [Weight(t) for t in tail])
         dec = oracle.verma_decomposition(datum, lam, depth)
-        for beta in engine._height_cone(datum.rank, depth):
+        for beta in cone(datum.rank, depth):
             nu0 = lam[0] - datum.root_weight(beta)
             nu = TruncatedWeight((nu0,) + lam.tail())
             value, _ = engine.multiplicity(
@@ -318,7 +309,6 @@ def build_parser():
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("verify-suite", help="engine vs oracle sweep")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_verify_suite)
 

@@ -14,8 +14,7 @@ import itertools
 from dataclasses import dataclass, field
 
 from . import kl
-from .characters import partition_cache
-from .root_datum import Weight
+from .characters import cone, partition_cache
 from .trunc_weights import TruncatedWeight, find_twisting_word, n_dot, same_block
 
 
@@ -72,7 +71,7 @@ def _multiplicity(datum, lam, nu, trace):
     elif not datum.dominance_leq(nu[0], lam[0]):
         value, node = 0, _zero_trace("nu_0 not below lambda_0")
     elif n == 0:
-        value, node = _base_case(datum, lam[0], nu[0])
+        value, node = _base_case(datum, lam[0], nu[0], trace)
     else:
         value, node = _reduce_level(datum, lam, nu, trace)
     _VALUE_MEMO[key] = value
@@ -83,8 +82,10 @@ def _zero_trace(reason):
     return MultiplicityTrace("zero", 0, {"reason": reason})
 
 
-def _base_case(datum, lam0, nu0):
+def _base_case(datum, lam0, nu0, trace):
     value = kl.base_multiplicity(datum, lam0, nu0)
+    if not trace:
+        return value, None
     details = {"lambda_0": str(lam0), "nu_0": str(nu0)}
     if lam0 != nu0 and datum.dominance_leq(nu0, lam0):
         desc = kl.block_descriptor(datum, lam0)
@@ -145,17 +146,10 @@ def multiplicity_table(datum, lam, depth, trace=False):
     """All nonzero [M_lam : L_nu] with nu_0 = lambda_0 - beta, height(beta)
     at most depth, and matching tail.  Returns {nu0 Weight: value}."""
     out = {}
-    for beta in _height_cone(datum.rank, depth):
+    for beta in cone(datum.rank, depth):
         nu0 = lam[0] - datum.root_weight(beta)
         nu = TruncatedWeight((nu0,) + lam.tail())
         value, _ = _multiplicity(datum, lam, nu, False)
         if value:
             out[nu0] = value
     return out
-
-
-def _height_cone(rank, depth):
-    out = [()]
-    for _ in range(rank):
-        out = [v + (c,) for v in out for c in range(depth - sum(v) + 1)]
-    return sorted(out, key=lambda b: (sum(b), b))

@@ -13,7 +13,6 @@ roots with integral pairing.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .root_datum import ReflectionGroup, Weight
 
@@ -26,9 +25,6 @@ class KLPolynomial:
 
     def __call__(self, value):
         return sum(c * value ** k for k, c in enumerate(self.coeffs))
-
-    def degree(self):
-        return len(self.coeffs) - 1 if self.coeffs else -1
 
     def __str__(self):
         if not self.coeffs:
@@ -69,9 +65,6 @@ def _scale(a, c):
     return _trim(tuple(c * x for x in a))
 
 
-_KL_MEMO = {}
-
-
 def _mu(group, z, y):
     """Coefficient of q^((l(y)-l(z)-1)/2) in P_{z,y}."""
     gap = y.length - z.length - 1
@@ -86,7 +79,7 @@ def _kl(group, x, y):
         return ()
     if x.key == y.key:
         return (1,)
-    memo = _KL_MEMO.setdefault(id(group), {})
+    memo = group._kl_memo
     key = (x.key, y.key)
     if key in memo:
         return memo[key]
@@ -143,7 +136,7 @@ _SUBGROUP_CACHE = {}
 
 def integral_weyl_group(datum, lam0):
     positive, simples = integral_subsystem(datum, lam0)
-    key = (id(datum), tuple(positive))
+    key = (datum.key, tuple(positive))
     if key not in _SUBGROUP_CACHE:
         _SUBGROUP_CACHE[key] = ReflectionGroup(datum, simples, positive)
     return _SUBGROUP_CACHE[key]

@@ -45,28 +45,6 @@ def rank(mat):
     return len(pivots)
 
 
-def nullspace(mat, ncols=None):
-    """Basis of the right nullspace, as a list of column vectors.
-
-    `ncols` must be given when `mat` has no rows.
-    """
-    if not mat:
-        if ncols is None:
-            raise ValueError("empty matrix needs explicit column count")
-        return [[Fraction(int(i == j)) for i in range(ncols)] for j in range(ncols)]
-    cols = len(mat[0])
-    ech, pivots = row_echelon(mat)
-    free = [c for c in range(cols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [Fraction(0)] * cols
-        v[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -ech[r][fc]
-        basis.append(v)
-    return basis
-
-
 def solve(mat, rhs):
     """Solve mat @ x = rhs exactly.  Returns None when inconsistent.
 

@@ -15,7 +15,8 @@ import random
 from fractions import Fraction
 
 from . import linalg
-from .characters import FormalCharacter, decompose_in_block, verma_character, height
+from .characters import (FormalCharacter, cone, decompose_in_block, height,
+                         verma_character)
 from .trunc_weights import TruncatedWeight, same_block
 
 MAX_TOTAL_DIMENSION = 200000
@@ -40,9 +41,9 @@ class ChevalleyBasis:
 
     @classmethod
     def get(cls, datum):
-        if id(datum) not in cls._cache:
-            cls._cache[id(datum)] = cls(datum)
-        return cls._cache[id(datum)]
+        if datum.key not in cls._cache:
+            cls._cache[datum.key] = cls(datum)
+        return cls._cache[datum.key]
 
     # -- structure constants ------------------------------------------
 
@@ -196,7 +197,7 @@ class TruncatedModule:
         self.position = {}      # monomial -> index in its space
         self._act_cache = {}
         total = 0
-        for beta in _cone(datum.rank, depth):
+        for beta in cone(datum.rank, depth):
             basis = self._monomials(beta)
             self.spaces[beta] = basis
             for k, m in enumerate(basis):
@@ -305,13 +306,6 @@ class TruncatedModule:
 
 def _acc(table, key, value):
     table[key] = table.get(key, 0) + value
-
-
-def _cone(rank, depth):
-    out = [()]
-    for _ in range(rank):
-        out = [v + (c,) for v in out for c in range(depth - sum(v) + 1)]
-    return sorted(out, key=lambda b: (sum(b), b))
 
 
 def build_verma(datum, lam, depth):

@@ -17,7 +17,6 @@ translates from the 1-based labels used on the command line.
 from __future__ import annotations
 
 import re
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -172,10 +171,9 @@ class RootDatum:
 
     _cache = {}
 
-    def __init__(self, cartan, label=None):
+    def __init__(self, cartan):
         self.cartan = tuple(tuple(int(x) for x in row) for row in cartan)
         self.rank = len(self.cartan)
-        self.label = label
         self.positive_roots = _root_closure(self.cartan)
         self._root_set = set(self.positive_roots)
         self.symmetrizer = self._solve_symmetrizer()
@@ -187,10 +185,10 @@ class RootDatum:
 
     @classmethod
     def from_type(cls, type_str):
-        key = str(CartanType.parse(type_str))
+        ct = CartanType.parse(type_str)
+        key = str(ct)
         if key not in cls._cache:
-            ct = CartanType.parse(type_str)
-            cls._cache[key] = cls(ct.cartan_matrix(), label=key)
+            cls._cache[key] = cls(ct.cartan_matrix())
         return cls._cache[key]
 
     def _solve_symmetrizer(self):
@@ -221,10 +219,7 @@ class RootDatum:
         idx = tuple(sorted(indices))
         if idx not in self._sub_cache:
             sub = [[self.cartan[i][j] for j in idx] for i in idx]
-            label = None
-            if self.label is not None:
-                label = "%s|%s" % (self.label, ",".join(str(i) for i in idx))
-            self._sub_cache[idx] = RootDatum(sub, label=label)
+            self._sub_cache[idx] = RootDatum(sub)
         return self._sub_cache[idx]
 
     # -- roots and pairings -------------------------------------------
@@ -232,9 +227,6 @@ class RootDatum:
     def is_root(self, vec):
         v = tuple(vec)
         return v in self._root_set or tuple(-c for c in v) in self._root_set
-
-    def is_positive_root(self, vec):
-        return tuple(vec) in self._root_set
 
     def simple_root(self, i):
         return tuple(int(j == i) for j in range(self.rank))
@@ -363,6 +355,7 @@ class ReflectionGroup:
         self._elements = None
         self._by_key = None
         self._bruhat_memo = {}
+        self._kl_memo = {}              # (x.key, y.key) -> P_{x,y} coefficients
 
     # -- words acting on ambient data ---------------------------------
 
@@ -463,18 +456,3 @@ class ReflectionGroup:
             result = self.bruhat_leq(x, sy)
         self._bruhat_memo[memo_key] = result
         return result
-
-
-def weyl_act(datum, word, weight):
-    """Apply a word in the ambient simple reflections to a weight."""
-    return datum.weyl_group().act_word(tuple(word), weight)
-
-
-def bruhat_leq(x, y):
-    if x.group is not y.group:
-        raise ValueError("elements of different groups")
-    return x.group.bruhat_leq(x, y)
-
-
-def dominance_leq(datum, lower, upper, indices=None):
-    return datum.dominance_leq(lower, upper, indices)

@@ -10,7 +10,6 @@ block is equivalent to, after twisting by a Weyl group element.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .root_datum import Weight
 
@@ -47,13 +46,6 @@ class TruncatedWeight:
     def __str__(self):
         return ",".join("[%s]" % ",".join(str(x) for x in c.coords)
                         for c in self.components)
-
-
-@dataclass(frozen=True)
-class BlockLabel:
-    """Block of category O at level n: the common tail of its weights."""
-
-    tail: tuple
 
 
 def same_block(lam, nu):
@@ -135,13 +127,3 @@ def linked(datum, indices, lam, nu):
     """Linkage at a standard Levi: same block and component-zero difference
     in the rational span of the Levi roots."""
     return same_block(lam, nu) and central_shift(datum, indices, lam[0], nu[0]) is not None
-
-
-@dataclass(frozen=True)
-class LeviDatum:
-    """A standard Levi of the ambient datum, with the index embedding."""
-
-    indices: tuple
-
-    def datum(self, ambient):
-        return ambient.sub_datum(self.indices)
