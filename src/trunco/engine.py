@@ -24,6 +24,18 @@ class MultiplicityQuery:
     lam: TruncatedWeight
     nu: TruncatedWeight
 
+    def __post_init__(self):
+        _check_rank(self.datum, self.lam, self.nu)
+        if self.lam.level != self.nu.level:
+            raise ValueError("weights at different truncation levels")
+
+
+def _check_rank(datum, *weights):
+    for weight in weights:
+        if any(len(c.coords) != datum.rank for c in weight.components):
+            raise ValueError("every component of %s needs %d coordinates"
+                             % (weight, datum.rank))
+
 
 @dataclass
 class MultiplicityTrace:
@@ -55,10 +67,7 @@ def multiplicity(query, trace=False):
 
     With trace=False the second entry is None.
     """
-    datum, lam, nu = query.datum, query.lam, query.nu
-    if lam.level != nu.level:
-        raise ValueError("weights at different truncation levels")
-    return _multiplicity(datum, lam, nu, trace)
+    return _multiplicity(query.datum, query.lam, query.nu, trace)
 
 
 def _multiplicity(datum, lam, nu, trace):
@@ -145,6 +154,7 @@ def _reduce_level(datum, lam, nu, trace):
 def multiplicity_table(datum, lam, depth, trace=False):
     """All nonzero [M_lam : L_nu] with nu_0 = lambda_0 - beta, height(beta)
     at most depth, and matching tail.  Returns {nu0 Weight: value}."""
+    _check_rank(datum, lam)
     out = {}
     for beta in cone(datum.rank, depth):
         nu0 = lam[0] - datum.root_weight(beta)

@@ -147,13 +147,12 @@ class BlockDescriptor:
     """Combinatorial data of the level-zero block through lam0."""
 
     group: ReflectionGroup          # integral Weyl group
-    integral_roots: list            # its positive roots, ambient coordinates
     antidominant: Weight            # antidominant dot-orbit representative
     stabilizer_simples: list        # indices of simple reflections fixing it
     orbit: dict                     # element key -> dot image of antidominant
 
 
-def _dot(datum, group, w, lam):
+def _dot(datum, w, lam):
     return w.act(lam + datum.rho) - datum.rho
 
 
@@ -169,8 +168,8 @@ def block_descriptor(datum, lam0):
     assert anti is not None
     stab = [i for i in range(group.num_gens)
             if datum.pairing(anti + datum.rho, group.simples[i]) == 0]
-    orbit = {w.key: _dot(datum, group, w, anti) for w in group.elements()}
-    return BlockDescriptor(group, list(group.positive_roots), anti, stab, orbit)
+    orbit = {w.key: _dot(datum, w, anti) for w in group.elements()}
+    return BlockDescriptor(group, anti, stab, orbit)
 
 
 def _longest_taking(datum, desc, target):

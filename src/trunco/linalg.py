@@ -8,13 +8,9 @@ attempt is made to be clever about pivoting.
 from fractions import Fraction
 
 
-def _frac_rows(mat):
-    return [[Fraction(x) for x in row] for row in mat]
-
-
 def row_echelon(mat):
     """Return (echelon form, pivot column list)."""
-    m = _frac_rows(mat)
+    m = [[Fraction(x) for x in row] for row in mat]
     if not m:
         return m, []
     rows, cols = len(m), len(m[0])
@@ -43,27 +39,3 @@ def rank(mat):
         return 0
     _, pivots = row_echelon(mat)
     return len(pivots)
-
-
-def solve(mat, rhs):
-    """Solve mat @ x = rhs exactly.  Returns None when inconsistent.
-
-    When the system is underdetermined an arbitrary solution is returned
-    (free variables set to zero).
-    """
-    if not mat:
-        return [] if all(b == 0 for b in rhs) else None
-    cols = len(mat[0])
-    aug = [list(row) + [b] for row, b in zip(mat, rhs)]
-    ech, pivots = row_echelon(aug)
-    if cols in pivots:
-        return None
-    x = [Fraction(0)] * cols
-    for r, pc in enumerate(pivots):
-        x[pc] = ech[r][cols]
-    # pivot rows were normalized, but free columns may contribute; with free
-    # variables at zero the pivot entries are already the solution
-    for row, b in zip(mat, rhs):
-        if sum(Fraction(a) * xv for a, xv in zip(row, x)) != Fraction(b):
-            return None
-    return x

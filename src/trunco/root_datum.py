@@ -16,9 +16,12 @@ translates from the 1-based labels used on the command line.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+
+from . import linalg
 
 
 _FAMILY_MIN_RANK = {"A": 1, "B": 2, "C": 2, "D": 4, "E": 6, "F": 4, "G": 2}
@@ -175,8 +178,13 @@ class RootDatum:
         self.cartan = tuple(tuple(int(x) for x in row) for row in cartan)
         self.rank = len(self.cartan)
         self.positive_roots = _root_closure(self.cartan)
-        self._root_set = set(self.positive_roots)
         self.symmetrizer = self._solve_symmetrizer()
+        self._coroots = self._coroot_table()
+        ech, pivots = linalg.row_echelon(
+            [row + self.simple_root(i) for i, row in enumerate(self.cartan)])
+        if pivots != list(range(self.rank)):
+            raise ValueError("Cartan matrix is singular")
+        self._cartan_inverse = tuple(tuple(row[self.rank:]) for row in ech)
         self.rho = Weight((1,) * self.rank)
         self._sub_cache = {}
         self._weyl = None
@@ -192,7 +200,8 @@ class RootDatum:
         return cls._cache[key]
 
     def _solve_symmetrizer(self):
-        # d_i with d_i a_ij = d_j a_ji, propagated along the Dynkin graph
+        # positive integers d_i with d_i a_ij = d_j a_ji, propagated along the
+        # Dynkin graph and then cleared of denominators
         d = [None] * self.rank
         for start in range(self.rank):
             if d[start] is not None:
@@ -207,8 +216,23 @@ class RootDatum:
                         stack.append(j)
         for i in range(self.rank):
             for j in range(self.rank):
-                assert d[i] * self.cartan[i][j] == d[j] * self.cartan[j][i]
-        return tuple(d)
+                if d[i] * self.cartan[i][j] != d[j] * self.cartan[j][i]:
+                    raise ValueError("Cartan matrix is not symmetrizable")
+        scale = math.lcm(*(x.denominator for x in d))
+        return tuple(int(x * scale) for x in d)
+
+    def _coroot_table(self):
+        # alpha^vee = sum_j (2 alpha_j d_j / (alpha, alpha)) alpha_j^vee
+        table = {}
+        for root in self.positive_roots:
+            sq = self.norm_sq(root)
+            twice = [2 * rj * dj for dj, rj in zip(self.symmetrizer, root)]
+            if any(t % sq for t in twice):
+                raise ValueError("coroot of %r is not integral" % (root,))
+            coroot = tuple(t // sq for t in twice)
+            table[root] = coroot
+            table[tuple(-c for c in root)] = tuple(-c for c in coroot)
+        return table
 
     @property
     def key(self):
@@ -225,8 +249,7 @@ class RootDatum:
     # -- roots and pairings -------------------------------------------
 
     def is_root(self, vec):
-        v = tuple(vec)
-        return v in self._root_set or tuple(-c for c in v) in self._root_set
+        return tuple(vec) in self._coroots
 
     def simple_root(self, i):
         return tuple(int(j == i) for j in range(self.rank))
@@ -244,26 +267,21 @@ class RootDatum:
 
     def coroot_coords(self, root):
         """Expansion of root^vee in the simple coroots (integers)."""
-        sq = self.norm_sq(root)
-        out = []
-        for j in range(self.rank):
-            c = 2 * root[j] * self.symmetrizer[j] / sq
-            assert c.denominator == 1
-            out.append(int(c))
-        return tuple(out)
+        if root not in self._coroots:
+            raise ValueError("%r is not a root" % (root,))
+        return self._coroots[root]
 
     def pairing(self, weight, root):
         """<weight, root^vee> for a (possibly negative) root."""
-        return sum(Fraction(c) * w
-                   for c, w in zip(self.coroot_coords(root), weight.coords))
+        return sum(c * w for c, w in zip(self.coroot_coords(root), weight.coords))
 
     def reflect_weight(self, root, weight):
         return weight - self.pairing(weight, root) * self.root_weight(root)
 
     def reflect_root(self, root, other):
-        pair = self.pairing(self.root_weight(other), root)
-        assert pair.denominator == 1
-        return tuple(c - int(pair) * r for c, r in zip(other, root))
+        pair = sum(c * sum(a * o for a, o in zip(row, other))
+                   for c, row in zip(self.coroot_coords(root), self.cartan))
+        return tuple(o - pair * r for o, r in zip(other, root))
 
     def root_coords(self, weight, indices=None):
         """Express a weight as a rational combination of simple roots.
@@ -272,16 +290,15 @@ class RootDatum:
         Returns a full-length coefficient tuple, or None if the weight is not
         in their span.
         """
-        from . import linalg
-        idx = list(range(self.rank)) if indices is None else sorted(indices)
-        mat = [[Fraction(self.cartan[i][j]) for j in idx] for i in range(self.rank)]
-        sol = linalg.solve(mat, list(weight.coords))
-        if sol is None:
+        if len(weight.coords) != self.rank:
+            raise ValueError("weight %s has %d coordinates, expected %d"
+                             % (weight, len(weight.coords), self.rank))
+        coords = tuple(sum(b * w for b, w in zip(row, weight.coords))
+                       for row in self._cartan_inverse)
+        if indices is not None and any(
+                coords[j] for j in range(self.rank) if j not in indices):
             return None
-        full = [Fraction(0)] * self.rank
-        for pos, j in enumerate(idx):
-            full[j] = sol[pos]
-        return tuple(full)
+        return coords
 
     def dominance_leq(self, lower, upper, indices=None):
         """True when upper - lower is a Z>=0 combination of the given simples."""

@@ -35,6 +35,17 @@ def test_mismatched_levels_rejected():
         multiplicity(MultiplicityQuery(a1, _tw((2,), (0,)), _tw((2,))))
 
 
+def test_rank_mismatches_rejected():
+    a2 = build_root_datum("A2")
+    lam = _tw((1, 0), (0, 1))
+    with pytest.raises(ValueError):
+        MultiplicityQuery(a2, lam, _tw((1, 0, 0), (0, 1)))
+    with pytest.raises(ValueError):
+        MultiplicityQuery(a2, _tw((1,), (0, 1)), lam)
+    with pytest.raises(ValueError):
+        multiplicity_table(a2, _tw((1,), (0, 1)), 2)
+
+
 def test_regular_tail_means_simple_verma():
     a1 = build_root_datum("A1")
     alpha = a1.root_weight((1,))

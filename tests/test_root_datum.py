@@ -1,9 +1,16 @@
+import os
+import pathlib
 import random
+import subprocess
+import sys
+import textwrap
 
 import pytest
 from fractions import Fraction
 
-from trunco.root_datum import CartanType, Weight, build_root_datum
+from trunco.root_datum import CartanType, RootDatum, Weight, build_root_datum
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 
 def test_root_counts():
@@ -160,3 +167,91 @@ def test_coroot_coords_long_short():
     assert all(c.denominator == 1 for c in coords)
     w = datum.root_weight(theta)
     assert datum.pairing(w, theta) == 2
+
+
+TABLE_TYPES = ("A1", "A2", "B2", "C3", "D4", "F4", "G2", "A1xA1", "B3")
+
+
+def test_coroot_table_matches_definition():
+    for t in TABLE_TYPES:
+        datum = build_root_datum(t)
+        a, d, n = datum.cartan, datum.symmetrizer, datum.rank
+        assert all(d[i] * a[i][j] == d[j] * a[j][i]
+                   for i in range(n) for j in range(n)), t
+        for alpha in datum.positive_roots:
+            sq = sum(d[i] * a[i][j] * alpha[i] * alpha[j]
+                     for i in range(n) for j in range(n))
+            want = tuple(Fraction(2 * alpha[j] * d[j], sq) for j in range(n))
+            assert datum.coroot_coords(alpha) == want, (t, alpha)
+            neg = tuple(-c for c in alpha)
+            assert datum.coroot_coords(neg) == tuple(-c for c in want), (t, neg)
+
+
+def test_root_coords_matches_span_membership():
+    # simple roots are linearly independent, so w = sum_j x_j alpha_j lies in
+    # the span of {alpha_j : j in J} exactly when x vanishes off J
+    rng = random.Random(11)
+    for t in TABLE_TYPES:
+        datum = build_root_datum(t)
+        n = datum.rank
+        for _ in range(40):
+            subset = tuple(j for j in range(n) if rng.random() < 0.5)
+            x = [Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(n)]
+            if rng.random() < 0.5:
+                x = [c if j in subset else Fraction(0) for j, c in enumerate(x)]
+            w = Weight((0,) * n)
+            for j, c in enumerate(x):
+                w = w + c * datum.root_weight(datum.simple_root(j))
+            got = datum.root_coords(w, subset)
+            inside = all(c == 0 for j, c in enumerate(x) if j not in subset)
+            assert (got is not None) == inside, (t, subset, x)
+            assert datum.root_coords(w) == tuple(x), (t, x)
+            if got is None:
+                continue
+            assert all(c == 0 for j, c in enumerate(got) if j not in subset)
+            back = Weight((0,) * n)
+            for j in subset:
+                back = back + got[j] * datum.root_weight(datum.simple_root(j))
+            assert back == w, (t, subset, x)
+        for _ in range(20):
+            w = Weight(tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+                             for _ in range(n)))
+            back = Weight((0,) * n)
+            for j, c in enumerate(datum.root_coords(w)):
+                back = back + c * datum.root_weight(datum.simple_root(j))
+            assert back == w, (t, w)
+
+
+def test_bad_roots_and_weights_rejected():
+    a2 = build_root_datum("A2")
+    with pytest.raises(ValueError):
+        a2.pairing(Weight((1, 1)), (2, 0))
+    with pytest.raises(ValueError):
+        a2.coroot_coords((1, 2))
+    with pytest.raises(ValueError):
+        a2.root_coords(Weight((1,)))
+    with pytest.raises(ValueError):
+        RootDatum([[2, 2], [2, 2]])
+
+
+def test_guards_survive_optimized_mode():
+    code = textwrap.dedent("""
+        from trunco.root_datum import RootDatum, Weight, build_root_datum
+        assert False, "asserts are live: not running under -O"
+        a2 = build_root_datum("A2")
+        calls = [lambda: a2.pairing(Weight((1, 1)), (2, 0)),
+                 lambda: a2.coroot_coords((1, 2)),
+                 lambda: a2.root_coords(Weight((1,))),
+                 lambda: RootDatum([[2, 2], [2, 2]])]
+        for k, call in enumerate(calls):
+            try:
+                call()
+            except ValueError:
+                continue
+            raise SystemExit("call %d did not raise ValueError" % k)
+        """)
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-O", "-c", code],
+                          env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
