@@ -97,11 +97,13 @@ def _kl(group, x, y):
             continue
         m = _mu(group, z, sy)
         if m:
-            half = (y.length - z.length) // 2
-            assert (y.length - z.length) % 2 == 0
+            half, odd = divmod(y.length - z.length, 2)
+            if odd:
+                raise RuntimeError("mu(z, sy) is nonzero at odd length gap")
             acc = _add(acc, _scale(_shift(_kl(group, x, z), half), -m))
-    # defining degree bound
-    assert len(acc) - 1 <= (y.length - x.length - 1) // 2, (x.word, y.word, acc)
+    if len(acc) - 1 > (y.length - x.length - 1) // 2:
+        raise RuntimeError("P_{x,y} breaks its degree bound: %r %r %r"
+                           % (x.word, y.word, acc))
     memo[key] = acc
     return acc
 
@@ -149,36 +151,35 @@ class BlockDescriptor:
     group: ReflectionGroup          # integral Weyl group
     antidominant: Weight            # antidominant dot-orbit representative
     stabilizer_simples: list        # indices of simple reflections fixing it
-    orbit: dict                     # element key -> dot image of antidominant
+    dominant: Weight                # dominant point of the orbit of lam0 + rho
 
 
-def _dot(datum, w, lam):
-    return w.act(lam + datum.rho) - datum.rho
+def _to_dominant(datum, group, mu):
+    """(dominant point of mu's orbit, shortest y taking it to mu), by descent."""
+    word = []
+    while True:
+        for i, r in enumerate(group.simples):
+            if datum.pairing(mu, r) < 0:
+                mu, word = datum.reflect_weight(r, mu), word + [i]
+                break
+        else:
+            return mu, group.from_word(word)
 
 
 def block_descriptor(datum, lam0):
     group = integral_weyl_group(datum, lam0)
-    shifted = lam0 + datum.rho
-    anti = None
-    for w in group.elements():
-        cand = w.act(shifted)
-        if all(datum.pairing(cand, r) <= 0 for r in group.positive_roots):
-            anti = cand - datum.rho
-            break
-    assert anti is not None
-    stab = [i for i in range(group.num_gens)
-            if datum.pairing(anti + datum.rho, group.simples[i]) == 0]
-    orbit = {w.key: _dot(datum, w, anti) for w in group.elements()}
-    return BlockDescriptor(group, anti, stab, orbit)
+    dominant, _ = _to_dominant(datum, group, lam0 + datum.rho)
+    anti = group.longest_element().act(dominant)
+    stab = [i for i, r in enumerate(group.simples) if datum.pairing(anti, r) == 0]
+    return BlockDescriptor(group, anti - datum.rho, stab, dominant)
 
 
 def _longest_taking(datum, desc, target):
-    """Longest w in the integral Weyl group with w . antidominant == target."""
-    best = None
-    for w in desc.group.elements():
-        if desc.orbit[w.key] == target and (best is None or w.length > best.length):
-            best = w
-    return best
+    """Longest w with w . antidominant == target: y w0, y shortest in y W_J."""
+    point, y = _to_dominant(datum, desc.group, target + datum.rho)
+    if point != desc.dominant:
+        return None
+    return desc.group.mult(y, desc.group.longest_element())
 
 
 def base_multiplicity(datum, lam0, nu0):

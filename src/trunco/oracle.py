@@ -22,6 +22,12 @@ from .trunc_weights import TruncatedWeight, same_block
 MAX_TOTAL_DIMENSION = 200000
 
 
+def _integer(value):
+    if value.denominator != 1:
+        raise RuntimeError("structure constant %s is not an integer" % value)
+    return int(value)
+
+
 class ChevalleyBasis:
     """Structure constants of g in the basis {h_i, e_gamma, f_gamma}.
 
@@ -37,7 +43,7 @@ class ChevalleyBasis:
         self.index = {r: i for i, r in enumerate(self.roots)}
         self._npos = {}
         self._build_constants()
-        self._assert_jacobi()
+        self._check_jacobi()
 
     @classmethod
     def get(cls, datum):
@@ -82,10 +88,9 @@ class ChevalleyBasis:
                 if self.datum.is_root(ax):
                     t -= Fraction(self._n(ea, tuple(-c for c in x)) *
                                   self._n(eb, tuple(-c for c in y)), 1) / sq(ax)
-                value = sq(gamma) * t / self._npos[(ea, eb)]
-                assert value.denominator == 1
-                value = int(value)
-                assert abs(value) == self._chain_down(x, y) + 1
+                value = _integer(sq(gamma) * t / self._npos[(ea, eb)])
+                if abs(value) != self._chain_down(x, y) + 1:
+                    raise RuntimeError("|N(%r, %r)| is not p + 1" % (x, y))
                 self._npos[(x, y)] = value
 
     def _n(self, a, b):
@@ -109,8 +114,7 @@ class ChevalleyBasis:
         else:
             # (-s) + a = -b, a positive pair
             value = Fraction(self._n(tuple(-c for c in s), a)) * sq(s) / sq(tuple(-c for c in b))
-        assert value.denominator == 1
-        return int(value)
+        return _integer(value)
 
     # -- brackets ------------------------------------------------------
 
@@ -162,7 +166,7 @@ class ChevalleyBasis:
                 out[el2] = out.get(el2, 0) + c * c2
         return {k: v for k, v in out.items() if v}
 
-    def _assert_jacobi(self):
+    def _check_jacobi(self):
         basis = self.basis_elements()
         if len(basis) <= 30:
             triples = itertools.combinations(basis, 3)
@@ -176,7 +180,8 @@ class ChevalleyBasis:
                 for c2, el2 in self.bracket(el, z):
                     rhs[el2] = rhs.get(el2, 0) + c * c2
             rhs = {k: v for k, v in rhs.items() if v}
-            assert lhs == rhs, "Jacobi identity fails at %r %r %r" % (x, y, z)
+            if lhs != rhs:
+                raise RuntimeError("Jacobi identity fails at %r %r %r" % (x, y, z))
 
 
 class TruncatedModule:
@@ -295,7 +300,8 @@ class TruncatedModule:
             for m, c in self.act_gen(gen, mono).items():
                 row = self.position.get(m)
                 if row is None:
-                    assert kind == "f", "action left the depth window"
+                    if kind != "f":
+                        raise RuntimeError("action left the depth window")
                     continue
                 mat[row][col] = c
         return mat, target_beta
@@ -313,7 +319,9 @@ def build_verma(datum, lam, depth):
     # cross-check dimensions against the character formula
     expected = verma_character(datum, lam, depth)
     for beta in module.spaces:
-        assert module.dimension(beta) == expected.coefficient(beta)
+        if module.dimension(beta) != expected.coefficient(beta):
+            raise RuntimeError("weight space %r disagrees with the character"
+                               % (beta,))
     return module
 
 

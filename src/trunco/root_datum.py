@@ -179,7 +179,7 @@ class RootDatum:
         self.rank = len(self.cartan)
         self.positive_roots = _root_closure(self.cartan)
         self.symmetrizer = self._solve_symmetrizer()
-        self._coroots = self._coroot_table()
+        self._coroots, self._root_weights = self._root_tables()
         ech, pivots = linalg.row_echelon(
             [row + self.simple_root(i) for i, row in enumerate(self.cartan)])
         if pivots != list(range(self.rank)):
@@ -221,9 +221,10 @@ class RootDatum:
         scale = math.lcm(*(x.denominator for x in d))
         return tuple(int(x * scale) for x in d)
 
-    def _coroot_table(self):
-        # alpha^vee = sum_j (2 alpha_j d_j / (alpha, alpha)) alpha_j^vee
-        table = {}
+    def _root_tables(self):
+        # alpha^vee = sum_j (2 alpha_j d_j / (alpha, alpha)) alpha_j^vee; the
+        # second table holds each root in fundamental-weight coordinates
+        table, weights = {}, {}
         for root in self.positive_roots:
             sq = self.norm_sq(root)
             twice = [2 * rj * dj for dj, rj in zip(self.symmetrizer, root)]
@@ -232,7 +233,10 @@ class RootDatum:
             coroot = tuple(t // sq for t in twice)
             table[root] = coroot
             table[tuple(-c for c in root)] = tuple(-c for c in coroot)
-        return table
+            weight = tuple(sum(a * r for a, r in zip(row, root)) for row in self.cartan)
+            weights[root] = weight
+            weights[tuple(-c for c in root)] = tuple(-c for c in weight)
+        return table, weights
 
     @property
     def key(self):
@@ -276,7 +280,9 @@ class RootDatum:
         return sum(c * w for c, w in zip(self.coroot_coords(root), weight.coords))
 
     def reflect_weight(self, root, weight):
-        return weight - self.pairing(weight, root) * self.root_weight(root)
+        pair = self.pairing(weight, root)
+        return Weight(tuple(w - pair * r for w, r in
+                            zip(weight.coords, self._root_weights[root])))
 
     def reflect_root(self, root, other):
         pair = sum(c * sum(a * o for a, o in zip(row, other))
@@ -441,7 +447,8 @@ class ReflectionGroup:
         return self._by_key[self.act_word(x.word, Weight(y.key)).coords]
 
     def longest_element(self):
-        return max(self.elements(), key=lambda w: w.length)
+        self._materialize()
+        return self._elements[-1]  # the only element of the last length
 
     # -- descent and Bruhat order -------------------------------------
 

@@ -21,7 +21,13 @@ class TruncatedWeight:
     components: tuple
 
     def __init__(self, components):
-        object.__setattr__(self, "components", tuple(components))
+        components = tuple(components)
+        if not components:
+            raise ValueError("a truncated weight needs a component")
+        if len({len(c.coords) for c in components}) != 1:
+            raise ValueError("components of unequal lengths: %s"
+                             % ", ".join(str(c) for c in components))
+        object.__setattr__(self, "components", components)
 
     @property
     def level(self):
@@ -80,7 +86,7 @@ def find_twisting_word(datum, mu):
     """Minimal-length w with the singular roots of w(mu) a standard Levi.
 
     Returns (w, J).  Ties are broken by lexicographically least canonical
-    word.  Along the way the chain condition is asserted: each reflection in
+    word.  Along the way the chain condition is checked: each reflection in
     the word pairs nontrivially with the partially twisted weight, so the
     twist is a composition of reflections in nonsingular roots.
     """
@@ -88,18 +94,18 @@ def find_twisting_word(datum, mu):
     for w in group.elements():  # sorted by (length, word)
         j = standard_levi(datum, singular_roots(datum, w.act(mu)))
         if j is not None:
-            _assert_chain_condition(datum, w, mu)
+            _check_chain_condition(datum, w, mu)
             return w, j
-    raise AssertionError("no twisting word found")
+    raise RuntimeError("no twisting word found")
 
 
-def _assert_chain_condition(datum, w, mu):
+def _check_chain_condition(datum, w, mu):
     word = w.word
     partial = mu
     for pos in range(len(word) - 1, -1, -1):
         i = word[pos]
-        assert datum.pairing(partial, datum.simple_root(i)) != 0, \
-            "twisting word hits a singular reflection"
+        if datum.pairing(partial, datum.simple_root(i)) == 0:
+            raise RuntimeError("twisting word hits a singular reflection")
         partial = datum.reflect_weight(datum.simple_root(i), partial)
 
 

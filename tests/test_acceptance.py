@@ -13,7 +13,7 @@ from fractions import Fraction
 import pytest
 
 from trunco import engine, kl, oracle
-from trunco.characters import height, verma_character
+from trunco.characters import cone, height, verma_character
 from trunco.engine import MultiplicityQuery
 from trunco.root_datum import Weight, build_root_datum
 from trunco.trunc_weights import (TruncatedWeight, central_shift,
@@ -42,13 +42,6 @@ def _engine_value(datum, lam, nu):
     return value
 
 
-def _cone(rank, depth):
-    out = [()]
-    for _ in range(rank):
-        out = [v + (c,) for v in out for c in range(depth - sum(v) + 1)]
-    return sorted(out, key=lambda b: (sum(b), b))
-
-
 SWEEP_DEPTH = 5
 
 SWEEP_CASES = (
@@ -74,7 +67,7 @@ def sweep_results():
             for lam0 in lam0s:
                 lam = TruncatedWeight((lam0,) + tuple(Weight(t) for t in tail))
                 dec = oracle.verma_decomposition(datum, lam, SWEEP_DEPTH)
-                for beta in _cone(datum.rank, SWEEP_DEPTH):
+                for beta in cone(datum.rank, SWEEP_DEPTH):
                     nu0 = lam0 - datum.root_weight(beta)
                     nu = TruncatedWeight((nu0,) + lam.tail())
                     value = _engine_value(datum, lam, nu)

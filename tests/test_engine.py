@@ -1,7 +1,10 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from trunco import oracle
+from trunco.characters import cone
 from trunco.engine import MultiplicityQuery, multiplicity, multiplicity_table
 from trunco.root_datum import Weight, build_root_datum
 from trunco.trunc_weights import TruncatedWeight, find_twisting_word, n_dot
@@ -156,3 +159,36 @@ def test_value_memoization_is_stable():
     nu = TruncatedWeight((lam[0] - 2 * alpha,) + lam.tail())
     first = _value(a1, lam, nu)
     assert _value(a1, lam, nu) == first == 2
+
+
+# lambda_0 coordinates: integral, singular (-1 pairs lambda_0 + rho to 0)
+# and non-integral
+_LAM0_COORDS = (-2, -1, 0, 1, 2, Fraction(1, 2), Fraction(-1, 2),
+                Fraction(1, 3), Fraction(2, 3))
+
+
+@st.composite
+def _oracle_blocks(draw):
+    """(type, lambda) over rank-2 types at levels 0-2, and an oracle depth
+    kept at 3 on level 2, where the oracle's module grows fastest."""
+    type_str = draw(st.sampled_from(("B2", "G2", "A1xA1")))
+    level = draw(st.integers(0, 2))
+    depth = draw(st.integers(1, 3 if level == 2 else 4))
+    lam0 = tuple(draw(st.sampled_from(_LAM0_COORDS)) for _ in range(2))
+    tail = [tuple(draw(st.integers(-1, 2)) for _ in range(2))
+            for _ in range(level)]
+    return type_str, _tw(lam0, *tail), depth
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(_oracle_blocks())
+@example(("B2", _tw((Fraction(1, 2), -1), (0, 1)), 4))
+@example(("G2", _tw((-1, 0), (0, 0), (1, 0)), 3))
+@example(("A1xA1", _tw((Fraction(1, 3), -1), (0, 2)), 4))
+def test_engine_matches_oracle_on_random_blocks(case):
+    type_str, lam, depth = case
+    datum = build_root_datum(type_str)
+    dec = oracle.verma_decomposition(datum, lam, depth)
+    for beta in cone(datum.rank, depth):
+        nu = TruncatedWeight((lam[0] - datum.root_weight(beta),) + lam.tail())
+        assert _value(datum, lam, nu) == dec.get(beta, 0), (type_str, lam, beta)

@@ -1,7 +1,8 @@
 from fractions import Fraction
 
-from trunco.kl import (base_multiplicity, block_descriptor, integral_subsystem,
-                       kl_polynomial)
+from trunco.characters import cone
+from trunco.kl import (_longest_taking, base_multiplicity, block_descriptor,
+                       integral_subsystem, kl_polynomial)
 from trunco.root_datum import Weight, build_root_datum
 from trunco.trunc_weights import TruncatedWeight
 from trunco import oracle
@@ -94,12 +95,56 @@ def test_base_multiplicity_regular_a2_block():
     a2 = build_root_datum("A2")
     lam = Weight((0, 0))
     desc = block_descriptor(a2, lam)
-    total = sum(base_multiplicity(a2, lam, nu) for nu in desc.orbit.values())
+    anti = desc.antidominant
+    orbit = [w.act(anti + a2.rho) - a2.rho for w in desc.group.elements()]
+    total = sum(base_multiplicity(a2, lam, nu) for nu in orbit)
     # one simple for each of the six Weyl chamber positions
     assert total == 6
-    anti = desc.antidominant
-    for nu in desc.orbit.values():
+    for nu in orbit:
         assert base_multiplicity(a2, nu, anti) == 1
+
+
+# (type, lambda_0) blocks: regular, singular and non-integral
+DESCENT_BLOCKS = (
+    ("A2", (0, 0)), ("A2", (0, -1)), ("A2", (-1, -1)),
+    ("A2", (Fraction(1, 3), Fraction(2, 3))),
+    ("B2", (0, 0)), ("B2", (-1, 0)), ("B2", (Fraction(1, 2), -1)),
+    ("G2", (0, 0)), ("G2", (-1, 0)), ("G2", (Fraction(1, 2), 0)),
+    ("A3", (0, 0, 0)), ("A3", (-1, 0, 0)), ("A3", (0, -1, -1)),
+    ("A3", (Fraction(1, 2), 0, 0)),
+    ("B3", (0, 0, 0)), ("B3", (0, -1, 0)), ("B3", (0, 0, Fraction(1, 2))),
+)
+
+
+def test_longest_taking_matches_brute_force():
+    for type_str, coords in DESCENT_BLOCKS:
+        datum = build_root_datum(type_str)
+        lam0 = Weight(coords)
+        desc = block_descriptor(datum, lam0)
+        group, rho = desc.group, datum.rho
+        anti = desc.antidominant + rho
+        assert all(datum.pairing(anti, r) <= 0 for r in group.positive_roots)
+        assert desc.stabilizer_simples == [
+            i for i in range(group.num_gens)
+            if group.generator(i).act(anti) == anti]
+        # the unique longest element per orbit point, by a scan of the group
+        taking = {}
+        for w in group.elements():
+            taking.setdefault(w.act(anti) - rho, []).append(w)
+        longest = {}
+        for point, ws in taking.items():
+            top = max(w.length for w in ws)
+            (longest[point],) = [w for w in ws if w.length == top]
+        assert lam0 in longest
+        for target, w in longest.items():
+            assert _longest_taking(datum, desc, target) == w, \
+                (type_str, coords, target)
+        alpha = datum.root_weight(datum.simple_root(0))
+        outside = next(lam0 - m * alpha for m in range(1, 100)
+                       if lam0 - m * alpha not in longest)
+        assert _longest_taking(datum, desc, outside) is None
+        assert _longest_taking(datum, desc, lam0 + Weight(
+            (Fraction(1, 5),) + (0,) * (datum.rank - 1))) is None
 
 
 def test_base_multiplicity_matches_module_oracle():
@@ -110,14 +155,7 @@ def test_base_multiplicity_matches_module_oracle():
         for coords in lams:
             lam = TruncatedWeight([Weight(coords)])
             dec = oracle.verma_decomposition(datum, lam, depth)
-            for beta, cone_value in _all_offsets(datum, depth):
+            for beta in cone(datum.rank, depth):
                 nu0 = lam[0] - datum.root_weight(beta)
                 assert base_multiplicity(datum, lam[0], nu0) == \
                     dec.get(beta, 0), (type_str, coords, beta)
-
-
-def _all_offsets(datum, depth):
-    out = [()]
-    for _ in range(datum.rank):
-        out = [v + (c,) for v in out for c in range(depth - sum(v) + 1)]
-    return [(b, None) for b in out]

@@ -1,3 +1,4 @@
+import ast
 import os
 import pathlib
 import random
@@ -255,3 +256,13 @@ def test_guards_survive_optimized_mode():
                           env=dict(os.environ, PYTHONPATH=path),
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_no_assert_statements_in_package():
+    # python -O strips assert statements; every check must raise instead
+    found = []
+    for path in sorted((SRC / "trunco").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Assert):
+                found.append("%s:%d" % (path.name, node.lineno))
+    assert found == []

@@ -23,6 +23,15 @@ def test_truncated_weight_basics():
     assert lam.restrict((1,))[1] == Weight((1,))
 
 
+def test_truncated_weight_rejects_bad_components():
+    with pytest.raises(ValueError):
+        TruncatedWeight([])
+    with pytest.raises(ValueError):
+        _tw((1, 2), (0,))
+    with pytest.raises(ValueError):
+        _tw((1,), (0, 1), (0, 1))
+
+
 def test_same_block():
     assert same_block(_tw((1, 2), (0, 1)), _tw((5, -3), (0, 1)))
     assert not same_block(_tw((1, 2), (0, 1)), _tw((1, 2), (1, 1)))
