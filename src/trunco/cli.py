@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -43,7 +42,7 @@ def parse_weight(datum, text):
     return TruncatedWeight(comps)
 
 
-def parse_word(text):
+def parse_word(text, num_gens):
     text = text.strip()
     if not text:
         return ()
@@ -51,8 +50,9 @@ def parse_word(text):
         labels = [int(t) for t in text.split(",")]
     except ValueError:
         raise CliError("word must be comma-separated integers: %r" % text)
-    if any(l < 1 for l in labels):
-        raise CliError("simple reflection labels are 1-based")
+    if any(l < 1 or l > num_gens for l in labels):
+        raise CliError("simple reflection labels run from 1 to %d: %r"
+                       % (num_gens, text))
     return tuple(l - 1 for l in labels)
 
 
@@ -80,41 +80,6 @@ def _query(args, need_nu=True):
         if nu.level != lam.level:
             raise CliError("--lambda and --nu have different levels")
     return datum, lam, nu
-
-
-# -- persistent KL cache ----------------------------------------------
-
-def _kl_cache_path(type_str):
-    root = os.environ.get("TRUNCO_CACHE_DIR")
-    if not root:
-        return None
-    os.makedirs(root, exist_ok=True)
-    return os.path.join(root, "kl_%s.json" % type_str.replace("x", "_"))
-
-
-def _load_kl_cache(group, path):
-    if path is None or not os.path.exists(path):
-        return
-    with open(path) as fh:
-        data = json.load(fh)
-    for pair, coeffs in data.items():
-        xw, yw = pair.split("|")
-        x = group.from_word(parse_word(xw))
-        y = group.from_word(parse_word(yw))
-        group._kl_memo[(x.key, y.key)] = tuple(coeffs)
-
-
-def _save_kl_cache(group, path):
-    if path is None:
-        return
-    by_key = {w.key: w for w in group.elements()}
-    data = {}
-    for (xk, yk), coeffs in group._kl_memo.items():
-        xw = ",".join(str(i + 1) for i in by_key[xk].word)
-        yw = ",".join(str(i + 1) for i in by_key[yk].word)
-        data["%s|%s" % (xw, yw)] = list(coeffs)
-    with open(path, "w") as fh:
-        json.dump(data, fh)
 
 
 # -- subcommands -------------------------------------------------------
@@ -153,12 +118,9 @@ def cmd_table(args):
 def cmd_kl(args):
     datum = build_root_datum(args.type)
     group = datum.weyl_group()
-    path = _kl_cache_path(args.type)
-    _load_kl_cache(group, path)
-    x = group.from_word(parse_word(args.x))
-    y = group.from_word(parse_word(args.y))
+    x = group.from_word(parse_word(args.x, group.num_gens))
+    y = group.from_word(parse_word(args.y, group.num_gens))
     poly = kl.kl_polynomial(group, x, y)
-    _save_kl_cache(group, path)
     out = {"polynomial": str(poly), "coefficients": list(poly.coeffs),
            "at_one": int(poly(1))}
     _emit(args, out, lambda o: o["polynomial"])
@@ -320,7 +282,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CliError as exc:
+    except ValueError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
 

@@ -48,69 +48,65 @@ def _trim(coeffs):
     return tuple(coeffs)
 
 
-def _add(a, b):
-    out = [0] * max(len(a), len(b))
-    for k, c in enumerate(a):
-        out[k] += c
-    for k, c in enumerate(b):
-        out[k] += c
-    return _trim(out)
+def _accumulate(acc, poly, shift, factor):
+    """acc += factor * q^shift * poly, in place on a coefficient list."""
+    acc.extend([0] * (len(poly) + shift - len(acc)))
+    for k, c in enumerate(poly, shift):
+        acc[k] += factor * c
 
 
-def _shift(a, k):
-    return _trim((0,) * k + tuple(a)) if a else ()
+def _column(group, y):
+    """{x index: P_{x,y}} over the Bruhat interval [e, y], for the index y.
 
+    With s a left descent of y, v = sy, and c = 1 when sx < x, else 0
+    (Humphreys, Reflection Groups and Coxeter Groups, 7.11):
 
-def _scale(a, c):
-    return _trim(tuple(c * x for x in a))
+        P_{x,y} = q^(1-c) P_{sx,v} + q^c P_{x,v}
+                  - sum over z < v with sz < z of mu(z,v) q^((l(y)-l(z))/2) P_{x,z}
 
-
-def _mu(group, z, y):
-    """Coefficient of q^((l(y)-l(z)-1)/2) in P_{z,y}."""
-    gap = y.length - z.length - 1
-    if gap < 0 or gap % 2:
-        return 0
-    p = _kl(group, z, y)
-    return p[gap // 2] if gap // 2 < len(p) else 0
-
-
-def _kl(group, x, y):
-    if not group.bruhat_leq(x, y):
-        return ()
-    if x.key == y.key:
-        return (1,)
-    memo = group._kl_memo
-    key = (x.key, y.key)
-    if key in memo:
-        return memo[key]
-    s = group.left_descent(y)
-    gen = group.generator(s)
-    sy = group.mult(gen, y)
-    sx = group.mult(gen, x)
-    c = 1 if group.has_left_descent(x, s) else 0
-    acc = _add(_shift(_kl(group, sx, sy), 1 - c),
-               _shift(_kl(group, x, sy), c))
-    for z in group.elements():
-        if z.length >= sy.length + 1 or not group.has_left_descent(z, s):
-            continue
-        if not (group.bruhat_leq(x, z) and group.bruhat_leq(z, sy)):
-            continue
-        m = _mu(group, z, sy)
-        if m:
-            half, odd = divmod(y.length - z.length, 2)
+    where mu(z,v) is the coefficient of q^((l(v)-l(z)-1)/2) in P_{z,v}.
+    Columns are kept on the group.
+    """
+    column = group._kl_columns.get(y)
+    if column is not None:
+        return column
+    lmul, length = group.lmul, group.length
+    if y == 0:
+        column = {0: (1,)}
+    else:
+        # s[w] is the index of s w, for a left descent s of y
+        s = next(row for row in lmul if length[row[y]] < length[y])
+        v = s[y]
+        lower = _column(group, v)
+        acc = {}
+        for u, p in lower.items():
+            # x = u and x = su both take q^c P_{u,v} with c = [su < u]
+            c = 1 if length[s[u]] < length[u] else 0
+            for x in (u, s[u]):
+                _accumulate(acc.setdefault(x, []), p, c, 1)
+        for z, p in lower.items():
+            # mu(z, v) = p[k]; z = v has an odd gap of -1
+            k, odd = divmod(length[v] - length[z] - 1, 2)
+            if odd or k >= len(p) or not p[k] or length[s[z]] > length[z]:
+                continue
+            half, odd = divmod(length[y] - length[z], 2)
             if odd:
                 raise RuntimeError("mu(z, sy) is nonzero at odd length gap")
-            acc = _add(acc, _scale(_shift(_kl(group, x, z), half), -m))
-    if len(acc) - 1 > (y.length - x.length - 1) // 2:
-        raise RuntimeError("P_{x,y} breaks its degree bound: %r %r %r"
-                           % (x.word, y.word, acc))
-    memo[key] = acc
-    return acc
+            for x, pxz in _column(group, z).items():
+                _accumulate(acc[x], pxz, half, -p[k])
+        column = {}
+        for x, coeffs in acc.items():
+            p = column[x] = _trim(coeffs)
+            if x != y and len(p) - 1 > (length[y] - length[x] - 1) // 2:
+                raise RuntimeError("P_{x,y} breaks its degree bound at "
+                                   "indices %d, %d: %r" % (x, y, p))
+    group._kl_columns[y] = column
+    return column
 
 
 def kl_polynomial(group, x, y):
     """The Kazhdan-Lusztig polynomial P_{x,y} for elements of `group`."""
-    return KLPolynomial(_kl(group, x, y))
+    return KLPolynomial(_column(group, y.index).get(x.index, ()))
 
 
 def integral_subsystem(datum, lam0):

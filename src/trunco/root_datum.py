@@ -325,25 +325,19 @@ def build_root_datum(type_str):
 
 
 class WeylElement:
-    """Group element carrying a canonical reduced word.
+    """Group element carrying its index and a canonical reduced word.
 
-    Identity has word ().  Elements compare and hash by their action (image
-    of the ambient rho), so elements of the same group are deduplicated.
+    Identity has index 0 and word ().  A group makes one element per index
+    and hands out only those, so elements compare and hash by identity.
     """
 
-    __slots__ = ("group", "word", "key", "length")
+    __slots__ = ("group", "index", "word", "length")
 
-    def __init__(self, group, word, key):
+    def __init__(self, group, index, word):
         self.group = group
+        self.index = index
         self.word = word
-        self.key = key
         self.length = len(word)
-
-    def __eq__(self, other):
-        return isinstance(other, WeylElement) and self.key == other.key
-
-    def __hash__(self):
-        return hash(self.key)
 
     def __repr__(self):
         if not self.word:
@@ -368,6 +362,10 @@ class ReflectionGroup:
     positive roots, again as ambient root-coordinate vectors.  The full Weyl
     group is the special case where these are the ambient simples and the
     whole of Phi^+.
+
+    Elements are numbered 0..order-1 in (length, word) order.  `lmul[i][w]`
+    is the index of s_i w and `length[w]` the length of element w; both are
+    built with the elements, on first use.
     """
 
     def __init__(self, datum, simples, positive_roots):
@@ -376,9 +374,8 @@ class ReflectionGroup:
         self.positive_roots = [tuple(r) for r in positive_roots]
         self.num_gens = len(self.simples)
         self._elements = None
-        self._by_key = None
-        self._bruhat_memo = {}
-        self._kl_memo = {}              # (x.key, y.key) -> P_{x,y} coefficients
+        self._intervals = {0: 1}        # index y -> bitset of [e, y]
+        self._kl_columns = {}           # index y -> {x index: P_{x,y}}, see kl.py
 
     # -- words acting on ambient data ---------------------------------
 
@@ -392,38 +389,48 @@ class ReflectionGroup:
             root = self.datum.reflect_root(self.simples[i], root)
         return root
 
-    def _key_of_word(self, word):
-        return self.act_word(word, self.datum.rho).coords
-
     # -- enumeration ---------------------------------------------------
 
     def _materialize(self):
         if self._elements is not None:
             return
-        identity = WeylElement(self, (), self.datum.rho.coords)
-        by_key = {identity.key: identity}
-        order = [identity]
-        frontier = [identity]
+        # breadth first from the identity, each element keyed by the integer
+        # vector w(rho); a new element takes the word (i,) + word(u) of the
+        # first u in the previous layer with s_i u equal to it
+        mirrors = [(self.datum.coroot_coords(r), self.datum._root_weights[r])
+                   for r in self.simples]
+
+        def reflect(i, vec):
+            coroot, root_weight = mirrors[i]
+            pair = sum(c * v for c, v in zip(coroot, vec))
+            return tuple(v - pair * r for v, r in zip(vec, root_weight))
+
+        rho = (1,) * self.datum.rank
+        words = {rho: ()}
+        order = [rho]
+        frontier = [rho]
         while frontier:
             new = []
-            for elem in frontier:
+            for vec in frontier:
                 for i in range(self.num_gens):
-                    key = self.datum.reflect_weight(
-                        self.simples[i], Weight(elem.key)).coords
-                    if key not in by_key:
-                        cand = WeylElement(self, (i,) + elem.word, key)
-                        by_key[key] = cand
-                        new.append(cand)
-            new.sort(key=lambda w: w.word)
+                    image = reflect(i, vec)
+                    if image not in words:
+                        words[image] = (i,) + words[vec]
+                        new.append(image)
+            new.sort(key=words.__getitem__)
             order.extend(new)
             frontier = new
-            if len(by_key) > 400000:
+            if len(words) > 400000:
                 raise ValueError("reflection group too large to materialize")
-        self._elements = order
-        self._by_key = by_key
+        index = {vec: n for n, vec in enumerate(order)}
+        self._elements = [WeylElement(self, n, words[vec])
+                          for n, vec in enumerate(order)]
+        self.length = [w.length for w in self._elements]
+        self.lmul = [[index[reflect(i, vec)] for vec in order]
+                     for i in range(self.num_gens)]
 
     def elements(self):
-        """All elements, sorted by (length, word)."""
+        """All elements, sorted by (length, word); element n has index n."""
         self._materialize()
         return list(self._elements)
 
@@ -433,18 +440,22 @@ class ReflectionGroup:
 
     def identity(self):
         self._materialize()
-        return self._by_key[self.datum.rho.coords]
+        return self._elements[0]
+
+    def _left_multiply(self, word, w):
+        for i in reversed(word):
+            w = self.lmul[i][w]
+        return self._elements[w]
 
     def from_word(self, word):
         self._materialize()
-        return self._by_key[self._key_of_word(tuple(word))]
+        return self._left_multiply(word, 0)
 
     def generator(self, i):
         return self.from_word((i,))
 
     def mult(self, x, y):
-        self._materialize()
-        return self._by_key[self.act_word(x.word, Weight(y.key)).coords]
+        return self._left_multiply(x.word, y.index)
 
     def longest_element(self):
         self._materialize()
@@ -457,26 +468,22 @@ class ReflectionGroup:
         return w.word[0] if w.word else None
 
     def has_left_descent(self, w, i):
-        # length(s_i w) < length(w)  iff  w^{-1}(alpha_i) < 0
-        root = self.simples[i]
-        for j in w.word:  # apply w^{-1} left-to-right
-            root = self.datum.reflect_root(self.simples[j], root)
-        return all(c <= 0 for c in root)
+        return self.length[self.lmul[i][w.index]] < w.length
 
     def bruhat_leq(self, x, y):
-        """Bruhat order via the lifting property on canonical reduced words."""
-        if x.length > y.length:
-            return False
-        if x.length == 0:
-            return True
-        memo_key = (x.key, y.key)
-        if memo_key in self._bruhat_memo:
-            return self._bruhat_memo[memo_key]
-        s = self.left_descent(y)
-        sy = self.mult(self.generator(s), y)
-        if self.has_left_descent(x, s):
-            result = self.bruhat_leq(self.mult(self.generator(s), x), sy)
-        else:
-            result = self.bruhat_leq(x, sy)
-        self._bruhat_memo[memo_key] = result
-        return result
+        """Bruhat order: x lies in the interval [e, y]."""
+        return bool(self._interval(y.index) >> x.index & 1)
+
+    def _interval(self, y):
+        # [e, y] = [e, sy] | s[e, sy] for a left descent s of y, as a bitset
+        # over element indices
+        bits = self._intervals.get(y)
+        if bits is None:
+            s = self.lmul[self._elements[y].word[0]]
+            bits = lower = self._interval(s[y])
+            while lower:
+                low = lower & -lower
+                bits |= 1 << s[low.bit_length() - 1]
+                lower ^= low
+            self._intervals[y] = bits
+        return bits

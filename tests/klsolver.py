@@ -48,11 +48,11 @@ class KLSolver:
 
     def _r(self, x, y):
         """R-polynomial R_{x,y}, low degree first."""
-        if x.key == y.key:
+        if x.index == y.index:
             return (1,)
         if x.length >= y.length:
             return ()
-        key = (x.key, y.key)
+        key = (x.index, y.index)
         if key in self._r_memo:
             return self._r_memo[key]
         g = self.group
@@ -70,15 +70,15 @@ class KLSolver:
 
     def leq(self, x, y):
         """Bruhat order, read off the nonvanishing of R."""
-        return x.key == y.key or bool(self._r(x, y))
+        return x.index == y.index or bool(self._r(x, y))
 
     def kl(self, x, y):
         """P_{x,y} as a tuple of coefficients, low degree first."""
         if not self.leq(x, y):
             return ()
-        if x.key == y.key:
+        if x.index == y.index:
             return (1,)
-        key = (x.key, y.key)
+        key = (x.index, y.index)
         if key in self._p_memo:
             return self._p_memo[key]
         d = y.length - x.length

@@ -250,7 +250,26 @@ def test_criterion_6_kl_suite():
                               a3.from_word((1, 0, 2, 1)))
     if pinned.coeffs != (1, 1):
         failures.append(("A3", "pinned", pinned.coeffs))
-    _report(6, "KL polynomials across three Weyl groups", failures, started)
+    # rank 4: sampled pairs, three in four with x <= y; lengths are capped
+    # so the solver, which scans W per pair, stays near 2 s in total
+    rng = random.Random(6)
+    for t, max_length in (("B4", 9), ("D4", 9), ("F4", 8)):
+        group = build_root_datum(t).weyl_group()
+        solver = KLSolver(group)
+        short = [w for w in group.elements() if w.length <= max_length]
+        nonconstant = 0
+        for k in range(300):
+            y = rng.choice(short)
+            below = [w for w in short if w.length <= y.length
+                     and (k % 4 == 0 or group.bruhat_leq(w, y))]
+            x = rng.choice(below)
+            p = kl.kl_polynomial(group, x, y).coeffs
+            if p != solver.kl(x, y):
+                failures.append((t, x.word, y.word, "solver"))
+            nonconstant += len(p) > 1
+        if not nonconstant:
+            failures.append((t, "no sampled pair has a nonconstant P"))
+    _report(6, "KL polynomials across six Weyl groups", failures, started)
     assert not failures, failures[:10]
 
 

@@ -21,8 +21,11 @@ def test_parse_weight_roundtrip():
 
 
 def test_parse_word():
-    assert parse_word("2,1,3,2") == (1, 0, 2, 1)
-    assert parse_word("") == ()
+    assert parse_word("2,1,3,2", 3) == (1, 0, 2, 1)
+    assert parse_word("", 3) == ()
+    for bad in ("0", "4", "1,4"):
+        with pytest.raises(ValueError):
+            parse_word(bad, 3)
 
 
 def test_mult_trivial(capsys):
@@ -79,21 +82,6 @@ def test_kl_command(capsys):
     assert out.strip() == "1+q"
 
 
-def test_kl_cache_round_trip(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("TRUNCO_CACHE_DIR", str(tmp_path))
-    status, out = run(capsys, "kl", "--type", "A3", "--json",
-                      "--x", "2", "--y", "2,1,3,2")
-    assert status == 0
-    assert json.loads(out)["coefficients"] == [1, 1]
-    cache = tmp_path / "kl_A3.json"
-    assert cache.exists()
-    data = json.loads(cache.read_text())
-    assert data, "cache file written but empty"
-    status, out = run(capsys, "kl", "--type", "A3", "--json",
-                      "--x", "2", "--y", "2,1,3,2")
-    assert json.loads(out)["at_one"] == 2
-
-
 def test_partition_command(capsys):
     status, out = run(capsys, "partition", "--type", "A2", "--beta", "1,1")
     assert status == 0
@@ -140,6 +128,24 @@ def test_level_mismatch_is_status_two(capsys):
     status, _ = run(capsys, "mult", "--type", "A1", "--n", "2",
                     "--lambda", "[3],[0]", "--nu", "[3],[0]")
     assert status == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["kl", "--type", "H3", "--x", "1", "--y", "1"],
+    ["partition", "--type", "E9", "--beta", "1"],
+    ["kl", "--type", "A2", "--x", "3", "--y", "1"],
+    ["kl", "--type", "A2", "--x", "1", "--y", "0"],
+    ["character", "--type", "A1", "--n", "-1", "--depth", "2"],
+    ["oracle", "--type", "A1", "--lambda", "[1],[0]", "--nu", "[-3],[0]",
+     "--depth", "-1"],
+])
+def test_bad_input_is_status_two(capsys, argv):
+    status = main(argv)
+    captured = capsys.readouterr()
+    assert status == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert len(captured.err.splitlines()) == 1
 
 
 def test_verify_suite(capsys):

@@ -1,8 +1,9 @@
+import random
 from fractions import Fraction
 
 from trunco.characters import cone
 from trunco.kl import (_longest_taking, base_multiplicity, block_descriptor,
-                       integral_subsystem, kl_polynomial)
+                       integral_subsystem, integral_weyl_group, kl_polynomial)
 from trunco.root_datum import Weight, build_root_datum
 from trunco.trunc_weights import TruncatedWeight
 from trunco import oracle
@@ -145,6 +146,39 @@ def test_longest_taking_matches_brute_force():
         assert _longest_taking(datum, desc, outside) is None
         assert _longest_taking(datum, desc, lam0 + Weight(
             (Fraction(1, 5),) + (0,) * (datum.rank - 1))) is None
+
+
+TABLE_BLOCKS = DESCENT_BLOCKS + (
+    ("D4", (0, 0, 0, 0)), ("D4", (0, -1, 0, 0)),
+    ("D4", (Fraction(1, 2), 0, 0, 0)),
+    ("F4", (0, 0, 0, 0)), ("F4", (0, 0, -1, 0)),
+    ("F4", (0, 0, 0, Fraction(1, 2))),
+)
+
+
+def test_group_tables_match_their_definitions():
+    # s_i w < w  iff  w^{-1}(beta_i) < 0; products agree with concatenated
+    # words; Bruhat order agrees with the support of R (KLSolver.leq)
+    rng = random.Random(3)
+    for type_str, coords in TABLE_BLOCKS:
+        group = integral_weyl_group(build_root_datum(type_str), Weight(coords))
+        elements = group.elements()
+        assert [w.index for w in elements] == list(range(group.order()))
+        for w in elements:
+            for i, simple in enumerate(group.simples):
+                negative = all(c <= 0 for c in w.inverse().act_root(simple))
+                assert group.has_left_descent(w, i) == negative, \
+                    (type_str, coords, w, i)
+        for _ in range(200):
+            x, y = rng.choice(elements), rng.choice(elements)
+            assert group.mult(x, y) is group.from_word(x.word + y.word)
+    for type_str in ("A3", "B3"):
+        group = build_root_datum(type_str).weyl_group()
+        solver = KLSolver(group)
+        for x in group.elements():
+            for y in group.elements():
+                assert group.bruhat_leq(x, y) == solver.leq(x, y), \
+                    (type_str, x, y)
 
 
 def test_base_multiplicity_matches_module_oracle():

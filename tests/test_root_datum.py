@@ -259,10 +259,18 @@ def test_guards_survive_optimized_mode():
 
 
 def test_no_assert_statements_in_package():
-    # python -O strips assert statements; every check must raise instead
+    # python -O strips assert statements; every check must raise instead.
+    # The package reads no environment variables either: no hidden options.
+    env = {"environ", "getenv"}
     found = []
     for path in sorted((SRC / "trunco").glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
             if isinstance(node, ast.Assert):
                 found.append("%s:%d" % (path.name, node.lineno))
+            elif (isinstance(node, ast.Attribute) and node.attr in env
+                  and isinstance(node.value, ast.Name) and node.value.id == "os"):
+                found.append("%s:%d os.%s" % (path.name, node.lineno, node.attr))
+            elif (isinstance(node, ast.ImportFrom) and node.module == "os"
+                  and env & {alias.name for alias in node.names}):
+                found.append("%s:%d from os import" % (path.name, node.lineno))
     assert found == []
