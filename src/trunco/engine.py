@@ -98,16 +98,15 @@ def _base_case(datum, lam0, nu0, trace):
     details = {"lambda_0": str(lam0), "nu_0": str(nu0)}
     if lam0 != nu0 and datum.dominance_leq(nu0, lam0):
         desc = kl.block_descriptor(datum, lam0)
-        x = kl._longest_taking(datum, desc, lam0)
         y = kl._longest_taking(datum, desc, nu0)
         details.update({
             "integral_simples": [list(r) for r in desc.group.simples],
             "antidominant": str(desc.antidominant),
-            "x": list(x.word) if x else None,
+            "x": list(desc.top.word),
             "y": list(y.word) if y else None,
         })
-        if x is not None and y is not None:
-            details["kl"] = str(kl.kl_polynomial(desc.group, y, x))
+        if y is not None:
+            details["kl"] = str(kl.kl_polynomial(desc.group, y, desc.top))
     return value, MultiplicityTrace("base", value, details)
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .root_datum import ReflectionGroup, Weight
+from .root_datum import ReflectionGroup, Weight, WeylElement
 
 
 @dataclass(frozen=True)
@@ -148,6 +148,7 @@ class BlockDescriptor:
     antidominant: Weight            # antidominant dot-orbit representative
     stabilizer_simples: list        # indices of simple reflections fixing it
     dominant: Weight                # dominant point of the orbit of lam0 + rho
+    top: WeylElement                # longest w with w . antidominant == lam0
 
 
 def _to_dominant(datum, group, mu):
@@ -164,10 +165,12 @@ def _to_dominant(datum, group, mu):
 
 def block_descriptor(datum, lam0):
     group = integral_weyl_group(datum, lam0)
-    dominant, _ = _to_dominant(datum, group, lam0 + datum.rho)
-    anti = group.longest_element().act(dominant)
+    dominant, y = _to_dominant(datum, group, lam0 + datum.rho)
+    w0 = group.longest_element()
+    anti = w0.act(dominant)
     stab = [i for i, r in enumerate(group.simples) if datum.pairing(anti, r) == 0]
-    return BlockDescriptor(group, anti - datum.rho, stab, dominant)
+    return BlockDescriptor(group, anti - datum.rho, stab, dominant,
+                           group.mult(y, w0))
 
 
 def _longest_taking(datum, desc, target):
@@ -185,8 +188,7 @@ def base_multiplicity(datum, lam0, nu0):
     if not datum.dominance_leq(nu0, lam0):
         return 0
     desc = block_descriptor(datum, lam0)
-    x = _longest_taking(datum, desc, lam0)
     y = _longest_taking(datum, desc, nu0)
-    if x is None or y is None:
+    if y is None:
         return 0
-    return int(kl_polynomial(desc.group, y, x)(1))
+    return int(kl_polynomial(desc.group, y, desc.top)(1))

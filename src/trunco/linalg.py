@@ -1,8 +1,8 @@
-"""Exact linear algebra over the rationals.
+"""Exact Gaussian elimination over the rationals, for small dense matrices.
 
-Matrices are lists of rows, entries Fraction (or int).  Everything here is
-dense Gaussian elimination; sizes stay small (a few hundred at most) so no
-attempt is made to be clever about pivoting.
+Matrices are lists of rows, entries Fraction (or int).  Its one caller in
+the package is `RootDatum`, which inverts its Cartan matrix with it; the
+module oracle eliminates its own sparse integer rows.
 """
 
 from fractions import Fraction
@@ -33,9 +33,3 @@ def row_echelon(mat):
             break
     return m, pivots
 
-
-def rank(mat):
-    if not mat or not mat[0]:
-        return 0
-    _, pivots = row_echelon(mat)
-    return len(pivots)

@@ -2,10 +2,13 @@
 
 Builds the semisimple Lie algebra from its root datum in a Chevalley basis
 (extraspecial-pair sign convention, validated against the Jacobi identity),
-then realizes truncated Verma modules with exact rational matrices.  Simple
-characters are extracted as quotients by the maximal proper submodule,
-which is computed weight space by weight space: a vector lies in it iff
-every degree-shifted raising generator maps it into the part already found.
+then realizes truncated Verma modules by the exact action of its
+degree-shifted generators on PBW monomials.  Simple characters are extracted
+as quotients by the maximal proper submodule, which is computed weight space
+by weight space: a vector lies in it iff every degree-shifted raising
+generator maps it into the part already found.  Those conditions are sparse
+rows, scaled to integers and eliminated by integer combination; nothing is
+rounded and no floating point is used.
 """
 
 from __future__ import annotations
@@ -13,8 +16,8 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
+from math import gcd
 
-from . import linalg
 from .characters import (FormalCharacter, cone, decompose_in_block, height,
                          verma_character)
 from .trunc_weights import TruncatedWeight, same_block
@@ -325,6 +328,48 @@ def build_verma(datum, lam, depth):
     return module
 
 
+def _raising_rows(module, gen, beta):
+    """Matrix of a raising generator on the weight space at beta, scaled by
+    one common factor to integers, as sparse rows {target position:
+    {source position: value}}."""
+    images = [module.act_gen(gen, mono) for mono in module.spaces[beta]]
+    scale = 1
+    for image in images:
+        for c in image.values():
+            scale = scale * c.denominator // gcd(scale, c.denominator)
+    rows = {}
+    for col, image in enumerate(images):
+        for m, c in image.items():
+            row = module.position.get(m)
+            if row is None:
+                raise RuntimeError("action left the depth window")
+            rows.setdefault(row, {})[col] = c.numerator * (scale // c.denominator)
+    return rows
+
+
+def _eliminate(basis, row):
+    """Add an integer row {col: value} to the span of basis {pivot: row}.
+
+    Basis rows are divided by the gcd of their entries, and each one's
+    least column is its pivot. The row is combined with basis rows, in
+    integers, until it is zero or its least column is a new pivot.
+    """
+    while True:
+        row = {c: v for c, v in row.items() if v}
+        if not row:
+            return
+        g = gcd(*row.values())
+        row = {c: v // g for c, v in row.items()}
+        pivot = min(row)
+        other = basis.get(pivot)
+        if other is None:
+            basis[pivot] = row
+            return
+        a, b = other[pivot], row[pivot]
+        row = {c: a * row.get(c, 0) - b * other.get(c, 0)
+               for c in row.keys() | other.keys()}
+
+
 def simple_character(module):
     """Character of the simple quotient of the Verma, to the module depth.
 
@@ -336,29 +381,30 @@ def simple_character(module):
     datum = module.datum
     rank = datum.rank
     simple_idx = [module.chev.index[datum.simple_root(i)] for i in range(rank)]
-    constraints = {}    # beta -> reduced matrix whose nullspace is N^beta
+    constraints = {}    # beta -> basis rows whose joint kernel is N^beta
     table = {}
     for beta in sorted(module.spaces, key=lambda b: (height(b), b)):
         dim = module.dimension(beta)
         if height(beta) == 0:
-            constraints[beta] = [[Fraction(1)] * 1] if dim else []
+            constraints[beta] = [{0: 1}] if dim else []
             table[beta] = dim
             continue
-        rows = []
+        basis = {}
         for ri in simple_idx:
+            root = module.chev.roots[ri]
+            upper = constraints.get(tuple(b - r for b, r in zip(beta, root)))
+            if not upper:       # N is everything there: no condition
+                continue
             for deg in range(module.n + 1):
-                mat, target = module.generator_matrix(("e", ri, deg), beta)
-                upper = constraints.get(target)
-                if upper is None or not mat:
-                    continue
+                images = _raising_rows(module, ("e", ri, deg), beta)
                 for crow in upper:
-                    rows.append([
-                        sum(cr * mat[r][c] for r, cr in enumerate(crow))
-                        for c in range(dim)])
-        ech, pivots = linalg.row_echelon(rows)
-        reduced = [ech[r] for r in range(len(pivots))]
-        constraints[beta] = reduced
-        table[beta] = len(pivots)
+                    row = {}
+                    for r, cr in crow.items():
+                        for c, v in images.get(r, {}).items():
+                            row[c] = row.get(c, 0) + cr * v
+                    _eliminate(basis, row)
+        constraints[beta] = list(basis.values())
+        table[beta] = len(basis)
     return FormalCharacter(base=module.lam[0], depth=module.depth, table=table)
 
 
@@ -371,16 +417,12 @@ def invariants_character(module, levi_indices):
                if any(c and (j not in levi) for j, c in enumerate(r))]
     table = {}
     for beta in sorted(module.spaces, key=lambda b: (height(b), b)):
-        dim = module.dimension(beta)
-        if dim == 0:
-            table[beta] = 0
-            continue
-        rows = []
+        basis = {}
         for ri in outside:
             for deg in range(module.n + 1):
-                mat, _ = module.generator_matrix(("e", ri, deg), beta)
-                rows.extend(mat)
-        table[beta] = dim - linalg.rank(rows) if rows else dim
+                for row in _raising_rows(module, ("e", ri, deg), beta).values():
+                    _eliminate(basis, row)
+        table[beta] = module.dimension(beta) - len(basis)
     return FormalCharacter(base=module.lam[0], depth=module.depth, table=table)
 
 

@@ -42,14 +42,32 @@ def _engine_value(datum, lam, nu):
     return value
 
 
+def _box(rank, low, high):
+    out = [()]
+    for _ in range(rank):
+        out = [v + (c,) for v in out for c in range(low, high + 1)]
+    return out
+
+
 SWEEP_DEPTH = 5
+HALF, THIRD = Fraction(1, 2), Fraction(1, 3)
 
 SWEEP_CASES = (
-    # (type, tails): tails cover a regular top component, a zero one, a
-    # singular-but-already-standard-Levi one, and one needing a twist
-    ("A1", 1, [((1,),), ((0,),)]),
-    ("A1", 2, [((0,), (2,)), ((1,), (0,)), ((0,), (0,)), ((2,), (1,))]),
-    ("A2", 1, [((1, 1),), ((0, 0),), ((0, 1),), ((1, -1),)]),
+    # (type, level, tails, lambda_0s): tails cover a regular top component,
+    # a zero one, a singular-but-already-standard-Levi one, and one needing
+    # a twist; each type also takes a non-integral lambda_0, whose integral
+    # subsystem is a proper subsystem (for G2 (0,1/3), one of type A2)
+    ("A1", 1, [((1,),), ((0,),)], _box(1, 0, 3) + [(HALF,)]),
+    ("A1", 2, [((0,), (2,)), ((1,), (0,)), ((0,), (0,)), ((2,), (1,))],
+     _box(1, 0, 3) + [(HALF,)]),
+    ("A2", 1, [((1, 1),), ((0, 0),), ((0, 1),), ((1, -1),)],
+     _box(2, 0, 3) + [(THIRD, 2 * THIRD)]),
+    ("A2", 2, [((0, 0), (1, -1)), ((1, 0), (0, 0))],
+     _box(2, -2, 1) + [(THIRD, 2 * THIRD)]),
+    ("B2", 1, [((1, 1),), ((0, 0),), ((1, -1),)],
+     _box(2, -2, 1) + [(HALF, -1)]),
+    ("G2", 1, [((0, 0),), ((2, -1),)], _box(2, -2, 1) + [(0, THIRD)]),
+    ("A1xA1", 1, [((0, 0),), ((1, 0),)], _box(2, -2, 1) + [(HALF, 0)]),
 )
 
 
@@ -60,9 +78,9 @@ def sweep_results():
     mismatches = []
     linkage_violations = []
     checked = 0
-    for type_str, n, tails in SWEEP_CASES:
+    for type_str, n, tails, coords in SWEEP_CASES:
         datum = build_root_datum(type_str)
-        lam0s = [Weight(c) for c in _integral_box(datum.rank)]
+        lam0s = [Weight(c) for c in coords]
         for tail in tails:
             for lam0 in lam0s:
                 lam = TruncatedWeight((lam0,) + tuple(Weight(t) for t in tail))
@@ -87,13 +105,6 @@ def sweep_results():
     return {"checked": checked, "mismatches": mismatches,
             "linkage_violations": linkage_violations,
             "elapsed": time.time() - started}
-
-
-def _integral_box(rank):
-    out = [()]
-    for _ in range(rank):
-        out = [v + (c,) for v in out for c in range(4)]
-    return out
 
 
 def test_criterion_1_engine_oracle_equivalence(sweep_results):

@@ -11,6 +11,8 @@ from trunco.oracle import (ChevalleyBasis, TruncatedModule, build_verma,
 from trunco.root_datum import Weight, build_root_datum
 from trunco.trunc_weights import TruncatedWeight
 
+import dense_oracle
+
 
 def _tw(*coords):
     return TruncatedWeight([Weight(c) for c in coords])
@@ -124,6 +126,41 @@ def test_simple_character_bounded_by_verma():
     for beta in verma.table:
         assert 0 <= ch.coefficient(beta) <= verma.coefficient(beta)
     assert ch.coefficient((0, 0)) == 1
+
+
+HALF, THREE_HALVES = Fraction(1, 2), Fraction(3, 2)
+
+# (type, components, depth) at levels 0-2: integral, singular and
+# non-integral lambda_0, and tails with an entry 3/2
+DENSE_CASES = (
+    ("A1", ((2,),), 6),
+    ("A1", ((-1,), (0,)), 6),
+    ("A1", ((HALF,), (0,), (THREE_HALVES,)), 5),
+    ("A2", ((Fraction(1, 3), Fraction(2, 3)),), 5),
+    ("A2", ((0, -1), (0, 0)), 4),
+    ("A2", ((0, 1), (1, -1)), 4),
+    ("A2", ((1, 1), (0, 0), (0, 0)), 3),
+    ("B2", ((HALF, -1),), 5),
+    ("B2", ((1, 1), (0, 0)), 4),
+    ("B2", ((-1, 0), (1, 0), (0, THREE_HALVES)), 3),
+    ("G2", ((1, 0),), 5),
+    ("G2", ((-1, 0), (0, 0)), 4),
+    ("G2", ((HALF, 0), (0, 0), (0, 0)), 3),
+    ("A1xA1", ((0, -1),), 5),
+    ("A1xA1", ((HALF, 0), (THREE_HALVES, 0)), 4),
+    ("A1xA1", ((0, 0), (0, 0), (1, 0)), 4),
+)
+
+
+@pytest.mark.parametrize("type_str, comps, depth", DENSE_CASES)
+def test_sparse_eliminations_match_dense_reference(type_str, comps, depth):
+    datum = build_root_datum(type_str)
+    module = TruncatedModule(datum, _tw(*comps), depth)
+    assert simple_character(module).table == \
+        dense_oracle.simple_character(module).table
+    for levi in ((), (0,)):
+        assert invariants_character(module, levi).table == \
+            dense_oracle.invariants_character(module, levi).table
 
 
 def test_invariants_full_levi_is_whole_module():
