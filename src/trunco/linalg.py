@@ -32,4 +32,3 @@ def row_echelon(mat):
         if r == rows:
             break
     return m, pivots
-
