@@ -131,7 +131,7 @@ def _reduce_level(datum, lam, nu, trace):
     idx = sorted(levi)
     lam_r = lam2.truncate(n - 1).restrict(idx)
     nu_r = nu2.truncate(n - 1).restrict(idx)
-    bounds = [int(delta[j]) for j in idx]
+    bounds = [delta[j] for j in idx]
     pfun = partition_cache(sub)
     total = 0
     for alpha in itertools.product(*(range(b + 1) for b in bounds)):

@@ -255,7 +255,8 @@ class TruncatedModule:
     def act_gen(self, gen, mono):
         """Action of a generator (kind, index, degree) on a basis monomial.
 
-        Returns {monomial: Fraction} in PBW normal form.
+        Returns {monomial: coefficient} in PBW normal form.  Coefficients
+        are ints; only a non-integral entry of lambda makes them Fractions.
         """
         key = (gen, mono)
         cached = self._act_cache.get(key)
@@ -269,9 +270,9 @@ class TruncatedModule:
                 c = self.lam[gen[2]].coords[gen[1]]
                 out = {(): c} if c else {}
             else:
-                out = {((gen[1], gen[2]),): Fraction(1)}
+                out = {((gen[1], gen[2]),): 1}
         elif kind == "f" and (gen[1], gen[2]) <= mono[0]:
-            out = {((gen[1], gen[2]),) + mono: Fraction(1)}
+            out = {((gen[1], gen[2]),) + mono: 1}
         else:
             head, rest = mono[0], mono[1:]
             fhead = ("f", head[0], head[1])
@@ -298,7 +299,7 @@ class TruncatedModule:
             sign = -1 if kind == "e" else 1
             target_beta = tuple(b + sign * r for b, r in zip(beta, root))
         target = self.spaces.get(target_beta, [])
-        mat = [[Fraction(0)] * len(source) for _ in target]
+        mat = [[0] * len(source) for _ in target]
         for col, mono in enumerate(source):
             for m, c in self.act_gen(gen, mono).items():
                 row = self.position.get(m)
@@ -431,11 +432,20 @@ _DECOMP_MEMO = {}
 
 
 def _simple_char(datum, lam, depth):
-    key = (datum.key, lam, depth)
-    if key not in _SIMPLE_CHAR_MEMO:
-        _SIMPLE_CHAR_MEMO[key] = simple_character(
+    """simple_character at `depth`, cut from the deepest one built for lam.
+
+    The entry at beta depends only on the weight spaces of smaller height,
+    so a deeper character holds every shallower one.
+    """
+    key = (datum.key, lam)
+    ch = _SIMPLE_CHAR_MEMO.get(key)
+    if ch is None or ch.depth < depth:
+        ch = _SIMPLE_CHAR_MEMO[key] = simple_character(
             TruncatedModule(datum, lam, depth))
-    return _SIMPLE_CHAR_MEMO[key]
+    if ch.depth == depth:
+        return ch
+    return FormalCharacter(base=ch.base, depth=depth, table={
+        b: d for b, d in ch.table.items() if height(b) <= depth})
 
 
 def verma_decomposition(datum, lam, depth):
@@ -465,7 +475,7 @@ def oracle_multiplicity(datum, lam, nu, depth=None):
     offset = datum.root_coords(lam[0] - nu[0])
     if offset is None or any(c.denominator != 1 or c < 0 for c in offset):
         return 0
-    beta = tuple(int(c) for c in offset)
+    beta = offset
     if depth is None:
         depth = height(beta)
     if height(beta) > depth:

@@ -4,7 +4,9 @@ Conventions used throughout the package:
 
 - ``cartan[i][j]`` is the pairing <alpha_j, alpha_i^vee>.
 - Weights are stored in fundamental-weight coordinates: a weight lambda is
-  the tuple (<lambda, alpha_i^vee>)_i of rational numbers.
+  the tuple (<lambda, alpha_i^vee>)_i of rational numbers.  An integral
+  coordinate is an ``int`` and only a non-integral one a ``Fraction``, so
+  integral blocks run on integer arithmetic; floats are refused.
 - Roots are stored in root coordinates: integer tuples giving the expansion
   of the root in the simple roots.
 - A Weyl group word ``(i1, ..., ik)`` denotes s_{i1} s_{i2} ... s_{ik} and is
@@ -110,14 +112,36 @@ class CartanType:
         return "x".join("%s%d" % f for f in self.factors)
 
 
+def _exact(value):
+    """An exact rational as an int when integral, else a Fraction.
+
+    Accepts ints, Fractions and strings such as "1/2"; a float is refused,
+    since its binary value is rarely the number that was meant.
+    """
+    if isinstance(value, float):
+        raise ValueError("inexact coordinate %r: use an int, a Fraction or "
+                         "a string such as \"1/2\"" % (value,))
+    value = Fraction(value)
+    return value.numerator if value.denominator == 1 else value
+
+
+def _ratio(num, den):
+    """num / den exactly, for a positive int den: an int when den divides
+    num, else a Fraction."""
+    if type(num) is int and not num % den:
+        return num // den
+    return _exact(Fraction(num, den))
+
+
 @dataclass(frozen=True)
 class Weight:
-    """A weight in fundamental-weight coordinates (rational entries)."""
+    """A weight in fundamental-weight coordinates (exact rational entries)."""
 
     coords: tuple
 
     def __init__(self, coords):
-        object.__setattr__(self, "coords", tuple(Fraction(c) for c in coords))
+        object.__setattr__(self, "coords", tuple(
+            c if type(c) is int else _exact(c) for c in coords))
 
     def __add__(self, other):
         return Weight(tuple(a + b for a, b in zip(self.coords, other.coords)))
@@ -126,7 +150,7 @@ class Weight:
         return Weight(tuple(a - b for a, b in zip(self.coords, other.coords)))
 
     def __mul__(self, scalar):
-        s = Fraction(scalar)
+        s = _exact(scalar)
         return Weight(tuple(s * a for a in self.coords))
 
     __rmul__ = __mul__
@@ -184,7 +208,12 @@ class RootDatum:
             [row + self.simple_root(i) for i, row in enumerate(self.cartan)])
         if pivots != list(range(self.rank)):
             raise ValueError("Cartan matrix is singular")
-        self._cartan_inverse = tuple(tuple(row[self.rank:]) for row in ech)
+        # C^-1 = _cartan_inverse / _inverse_den, with an integer matrix
+        inverse = [row[self.rank:] for row in ech]
+        den = math.lcm(*(x.denominator for row in inverse for x in row))
+        self._cartan_inverse = tuple(tuple(int(x * den) for x in row)
+                                     for row in inverse)
+        self._inverse_den = den
         self.rho = Weight((1,) * self.rank)
         self._sub_cache = {}
         self._weyl = None
@@ -293,13 +322,14 @@ class RootDatum:
         """Express a weight as a rational combination of simple roots.
 
         Only the simple roots listed in `indices` may be used (default all).
-        Returns a full-length coefficient tuple, or None if the weight is not
-        in their span.
+        Returns a full-length coefficient tuple (ints where integral), or
+        None if the weight is not in their span.
         """
         if len(weight.coords) != self.rank:
             raise ValueError("weight %s has %d coordinates, expected %d"
                              % (weight, len(weight.coords), self.rank))
-        coords = tuple(sum(b * w for b, w in zip(row, weight.coords))
+        coords = tuple(_ratio(sum(b * w for b, w in zip(row, weight.coords)),
+                              self._inverse_den)
                        for row in self._cartan_inverse)
         if indices is not None and any(
                 coords[j] for j in range(self.rank) if j not in indices):

@@ -1,0 +1,94 @@
+"""Weights keep integral entries as ints and only non-integral ones as
+Fractions; floats are refused at the boundary."""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from trunco import engine, linalg
+from trunco.engine import MultiplicityQuery, multiplicity
+from trunco.root_datum import Weight, build_root_datum
+from trunco.trunc_weights import TruncatedWeight
+
+TYPES = ("A1", "A3", "B3", "C3", "D4", "G2", "F4", "E6", "A1xA1")
+
+
+def test_integral_coordinates_are_ints():
+    w = Weight((2, Fraction(4, 2), "3", "1/2", Fraction(-3, 6), True))
+    assert [type(c) for c in w.coords] == [int, int, int, Fraction, Fraction, int]
+    assert w.coords == (2, 2, 3, Fraction(1, 2), Fraction(-1, 2), 1)
+    half = Weight(("1/2", "1/2"))
+    assert all(type(c) is int for c in (half + half).coords)
+    assert all(type(c) is int for c in (2 * half).coords)
+    a2 = build_root_datum("A2")
+    lam = Weight((3, 0))    # 2 alpha_1 + alpha_2
+    assert all(type(c) is int for c in a2.reflect_weight((1, 1), lam).coords)
+    assert a2.root_coords(lam) == (2, 1)
+    assert all(type(c) is int for c in a2.root_coords(lam))
+    assert a2.root_coords(Weight((1, 0))) == (Fraction(2, 3), Fraction(1, 3))
+    assert type(a2.pairing(lam, (1, 1))) is int
+
+
+def test_floats_rejected():
+    for bad in ((0.1,), (1, 2.0)):
+        with pytest.raises(ValueError):
+            Weight(bad)
+    with pytest.raises(ValueError):
+        Weight((1,)) * 0.5
+
+
+def test_spellings_of_one_weight_agree():
+    a2 = build_root_datum("A2")
+    spellings = [(2, 0), (Fraction(2), Fraction(0)), ("2", "0")]
+    tail = Weight((1, "1/2"))
+    lams = [TruncatedWeight((Weight(s), tail)) for s in spellings]
+    for lam in lams:
+        assert lam == lams[0] and hash(lam) == hash(lams[0])
+        assert str(lam) == "[2,0],[1,1/2]"
+        assert lam[0] == Weight(spellings[0])
+        assert hash(lam[0]) == hash(Weight(spellings[0]))
+    nu = TruncatedWeight((lams[0][0] - a2.root_weight((1, 0)), tail))
+    value, _ = multiplicity(MultiplicityQuery(a2, lams[0], nu))
+    size = len(engine._VALUE_MEMO)
+    for lam in lams:
+        key = engine._memo_key(a2, lam, nu)
+        assert key in engine._VALUE_MEMO
+        assert multiplicity(MultiplicityQuery(a2, lam, nu))[0] == value
+    assert len(engine._VALUE_MEMO) == size
+
+
+def _fraction_inverse(datum):
+    # the inverse Cartan matrix as Fractions, from [C | I] in echelon form
+    n = datum.rank
+    ech, _ = linalg.row_echelon([list(row) + [int(i == j) for j in range(n)]
+                                 for i, row in enumerate(datum.cartan)])
+    return [row[n:] for row in ech]
+
+
+@pytest.mark.parametrize("type_str", TYPES)
+def test_root_coords_matches_fraction_inverse(type_str):
+    datum = build_root_datum(type_str)
+    n = datum.rank
+    inverse = _fraction_inverse(datum)
+    rng = random.Random(n)
+    weights = [Weight(tuple(int(i == j) for j in range(n))) for i in range(n)]
+    weights += [Weight(tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+                             for _ in range(n))) for _ in range(10)]
+    subsets = [(), (0,), tuple(range(1, n)), tuple(range(n))]
+    for w in weights:
+        want = tuple(sum(b * c for b, c in zip(row, w.coords)) for row in inverse)
+        got = datum.root_coords(w)
+        assert got == want, (type_str, w)
+        assert [type(c) is int for c in got] == [
+            c.denominator == 1 for c in want], (type_str, w)
+        for subset in subsets:
+            inside = all(want[j] == 0 for j in range(n) if j not in subset)
+            assert datum.root_coords(w, subset) == (want if inside else None)
+        # a weight in the span of a subset of the simple roots
+        subset = tuple(j for j in range(n) if rng.random() < 0.5)
+        v = Weight((0,) * n)
+        for j in subset:
+            v = v + want[j] * datum.root_weight(datum.simple_root(j))
+        coords = datum.root_coords(v, subset)
+        assert coords == tuple(want[j] if j in subset else 0 for j in range(n))

@@ -238,3 +238,24 @@ def test_verma_decomposition_reconstructs_character():
     verma = verma_character(a1, lam, depth)
     for beta, dim in verma.table.items():
         assert total.get(beta, 0) == dim
+
+
+@pytest.mark.parametrize("type_str, coords, deep", [
+    ("A2", ((1, 0), (0, 1)), 3),
+    ("B2", ((1, HALF), (1, 0)), 3),
+    ("A1", ((2,), (0,), (1,)), 4),
+    ("A2", ((0, 0), (1, -1), (0, 0)), 2),
+])
+def test_simple_char_cuts_the_deepest_character(type_str, coords, deep):
+    from trunco.oracle import _SIMPLE_CHAR_MEMO, _simple_char
+    datum = build_root_datum(type_str)
+    lam = _tw(*coords)
+    _simple_char(datum, lam, deep)
+    kept = _SIMPLE_CHAR_MEMO[(datum.key, lam)]
+    assert kept.depth >= deep   # other tests may have asked for more
+    for depth in range(deep + 1):
+        fresh = simple_character(TruncatedModule(datum, lam, depth))
+        cut = _simple_char(datum, lam, depth)
+        assert cut.depth == depth and cut.table == fresh.table
+        assert cut == fresh
+    assert _SIMPLE_CHAR_MEMO[(datum.key, lam)] is kept

@@ -243,7 +243,8 @@ def test_guards_survive_optimized_mode():
         calls = [lambda: a2.pairing(Weight((1, 1)), (2, 0)),
                  lambda: a2.coroot_coords((1, 2)),
                  lambda: a2.root_coords(Weight((1,))),
-                 lambda: RootDatum([[2, 2], [2, 2]])]
+                 lambda: RootDatum([[2, 2], [2, 2]]),
+                 lambda: Weight((0.5,))]
         for k, call in enumerate(calls):
             try:
                 call()
@@ -261,12 +262,18 @@ def test_guards_survive_optimized_mode():
 def test_no_assert_statements_in_package():
     # python -O strips assert statements; every check must raise instead.
     # The package reads no environment variables either: no hidden options.
+    # Arithmetic is exact: no float literal and no float() call.
     env = {"environ", "getenv"}
     found = []
     for path in sorted((SRC / "trunco").glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
             if isinstance(node, ast.Assert):
                 found.append("%s:%d" % (path.name, node.lineno))
+            elif isinstance(node, ast.Constant) and isinstance(node.value, float):
+                found.append("%s:%d float %r" % (path.name, node.lineno, node.value))
+            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                  and node.func.id == "float"):
+                found.append("%s:%d float()" % (path.name, node.lineno))
             elif (isinstance(node, ast.Attribute) and node.attr in env
                   and isinstance(node.value, ast.Name) and node.value.id == "os"):
                 found.append("%s:%d os.%s" % (path.name, node.lineno, node.attr))
