@@ -82,6 +82,8 @@ def kostant_partition(datum, beta):
 
 def cone(rank, depth):
     """All nonnegative integer vectors of height <= depth, by height."""
+    if depth < 0:
+        raise ValueError("depth must be nonnegative, got %d" % depth)
     out = [()]
     for _ in range(rank):
         out = [v + (c,) for v in out for c in range(depth - height(v) + 1)]
@@ -93,29 +95,15 @@ def verma_character(datum, lam, depth, method="convolution"):
 
     The table does not depend on the weight entries, only on the datum and
     the level: it is the (n+1)-fold convolution of the Kostant partition
-    function.  `method="pbw"` instead counts monomials in the n+1 shifted
-    copies of the lowering operators directly; the two must agree.
+    function, computed as the partition function of Phi^+ taken n+1 times.
+    `method="pbw"` instead counts monomials in the n+1 shifted copies of the
+    lowering operators directly; the two must agree.
     """
     n = lam.level
     offsets = cone(datum.rank, depth)
     if method == "convolution":
-        cache = partition_cache(datum)
-        layer = {b: cache.count(b) for b in offsets}
-        current = {b: int(height(b) == 0) for b in offsets}
-        for _ in range(n + 1):
-            nxt = {}
-            for b in offsets:
-                total = 0
-                for g in offsets:
-                    if height(g) > height(b):
-                        break
-                    rem = tuple(x - y for x, y in zip(b, g))
-                    if any(x < 0 for x in rem):
-                        continue
-                    total += layer[g] * current[rem]
-                nxt[b] = total
-            current = nxt
-        table = current
+        count = PartitionCache(datum.positive_roots * (n + 1)).count
+        table = {b: count(b) for b in offsets}
     elif method == "pbw":
         table = {b: _pbw_count(datum, b, n) for b in offsets}
     else:

@@ -157,10 +157,11 @@ def cmd_character(args):
 
 def cmd_oracle(args):
     datum, lam, nu = _query(args)
+    if args.invariants is not None:
+        levi = parse_word(args.invariants, datum.rank)
     value = oracle.oracle_multiplicity(datum, lam, nu, args.depth)
     out = {"value": value}
     if args.invariants is not None:
-        levi = [int(t) - 1 for t in args.invariants.split(",") if t.strip()]
         module = oracle.build_verma(datum, lam,
                                     args.depth if args.depth is not None else 3)
         ch = oracle.invariants_character(module, levi)

@@ -77,7 +77,7 @@ def _multiplicity(datum, lam, nu, trace):
     n = lam.level
     if not same_block(lam, nu):
         value, node = 0, _zero_trace("different blocks")
-    elif not datum.dominance_leq(nu[0], lam[0]):
+    elif datum.dominance_offset(nu[0], lam[0]) is None:
         value, node = 0, _zero_trace("nu_0 not below lambda_0")
     elif n == 0:
         value, node = _base_case(datum, lam[0], nu[0], trace)
@@ -96,7 +96,7 @@ def _base_case(datum, lam0, nu0, trace):
     if not trace:
         return value, None
     details = {"lambda_0": str(lam0), "nu_0": str(nu0)}
-    if lam0 != nu0 and datum.dominance_leq(nu0, lam0):
+    if lam0 != nu0 and datum.dominance_offset(nu0, lam0) is not None:
         desc = kl.block_descriptor(datum, lam0)
         y = kl._longest_taking(datum, desc, nu0)
         details.update({
@@ -115,7 +115,7 @@ def _reduce_level(datum, lam, nu, trace):
     w, levi = find_twisting_word(datum, lam[n])
     lam2 = n_dot(datum, w, lam)
     nu2 = n_dot(datum, w, nu)
-    delta = datum.root_coords(lam2[0] - nu2[0], levi)
+    delta = datum.dominance_offset(nu2[0], lam2[0], levi)
     node = MultiplicityTrace("reduce", 0, {
         "n": n,
         "twisting_word": list(w.word),
@@ -124,7 +124,7 @@ def _reduce_level(datum, lam, nu, trace):
         "nu_twisted": str(nu2),
         "contributions": [],
     })
-    if delta is None or any(c.denominator != 1 or c < 0 for c in delta):
+    if delta is None:
         node.details["reason"] = "weights not linked through the Levi"
         return 0, node
     sub = datum.sub_datum(levi)
@@ -150,7 +150,7 @@ def _reduce_level(datum, lam, nu, trace):
     return total, node
 
 
-def multiplicity_table(datum, lam, depth, trace=False):
+def multiplicity_table(datum, lam, depth):
     """All nonzero [M_lam : L_nu] with nu_0 = lambda_0 - beta, height(beta)
     at most depth, and matching tail.  Returns {nu0 Weight: value}."""
     _check_rank(datum, lam)

@@ -136,7 +136,7 @@ def integral_weyl_group(datum, lam0):
     positive, simples = integral_subsystem(datum, lam0)
     key = (datum.key, tuple(positive))
     if key not in _SUBGROUP_CACHE:
-        _SUBGROUP_CACHE[key] = ReflectionGroup(datum, simples, positive)
+        _SUBGROUP_CACHE[key] = ReflectionGroup(datum, simples)
     return _SUBGROUP_CACHE[key]
 
 
@@ -185,7 +185,7 @@ def base_multiplicity(datum, lam0, nu0):
     """[M_{lam0} : L_{nu0}] over the untruncated algebra (level n = 0)."""
     if lam0 == nu0:
         return 1
-    if not datum.dominance_leq(nu0, lam0):
+    if datum.dominance_offset(nu0, lam0) is None:
         return 0
     desc = block_descriptor(datum, lam0)
     y = _longest_taking(datum, desc, nu0)

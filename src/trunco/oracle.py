@@ -6,9 +6,10 @@ then realizes truncated Verma modules by the exact action of its
 degree-shifted generators on PBW monomials.  Simple characters are extracted
 as quotients by the maximal proper submodule, which is computed weight space
 by weight space: a vector lies in it iff every degree-shifted raising
-generator maps it into the part already found.  Those conditions are sparse
-rows, scaled to integers and eliminated by integer combination; nothing is
-rounded and no floating point is used.
+generator maps it into the part already found.  Those conditions are the
+sparse rows of `TruncatedModule.generator_matrix`, scaled to integers and
+eliminated by integer combination; nothing is rounded and no floating point
+is used.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .characters import (FormalCharacter, cone, decompose_in_block, height,
                          verma_character)
@@ -288,27 +289,28 @@ class TruncatedModule:
         return out
 
     def generator_matrix(self, gen, beta):
-        """Matrix of the generator from the weight space at beta to its
-        target space, columns indexed by the source basis."""
-        source = self.spaces[tuple(beta)]
+        """Sparse rows {target position: {source position: coefficient}} of
+        the generator on the weight space at beta, and the target beta.  A
+        lowering image that leaves the depth window is dropped; any other
+        image that leaves it raises RuntimeError."""
+        beta = tuple(beta)
         kind = gen[0]
         if kind == "h":
-            target_beta = tuple(beta)
+            target_beta = beta
         else:
             root = self.chev.roots[gen[1]]
             sign = -1 if kind == "e" else 1
             target_beta = tuple(b + sign * r for b, r in zip(beta, root))
-        target = self.spaces.get(target_beta, [])
-        mat = [[0] * len(source) for _ in target]
-        for col, mono in enumerate(source):
+        rows = {}
+        for col, mono in enumerate(self.spaces[beta]):
             for m, c in self.act_gen(gen, mono).items():
                 row = self.position.get(m)
                 if row is None:
                     if kind != "f":
                         raise RuntimeError("action left the depth window")
                     continue
-                mat[row][col] = c
-        return mat, target_beta
+                rows.setdefault(row, {})[col] = c
+        return rows, target_beta
 
     def dimension(self, beta):
         return len(self.spaces.get(tuple(beta), []))
@@ -330,22 +332,13 @@ def build_verma(datum, lam, depth):
 
 
 def _raising_rows(module, gen, beta):
-    """Matrix of a raising generator on the weight space at beta, scaled by
-    one common factor to integers, as sparse rows {target position:
-    {source position: value}}."""
-    images = [module.act_gen(gen, mono) for mono in module.spaces[beta]]
-    scale = 1
-    for image in images:
-        for c in image.values():
-            scale = scale * c.denominator // gcd(scale, c.denominator)
-    rows = {}
-    for col, image in enumerate(images):
-        for m, c in image.items():
-            row = module.position.get(m)
-            if row is None:
-                raise RuntimeError("action left the depth window")
-            rows.setdefault(row, {})[col] = c.numerator * (scale // c.denominator)
-    return rows
+    """`generator_matrix` of a raising generator at beta, scaled by one
+    common factor (the lcm of its denominators) to integers."""
+    rows, _ = module.generator_matrix(gen, beta)
+    scale = lcm(*(c.denominator for row in rows.values() for c in row.values()))
+    return {r: {col: c.numerator * (scale // c.denominator)
+                for col, c in row.items()}
+            for r, row in rows.items()}
 
 
 def _eliminate(basis, row):
@@ -472,10 +465,9 @@ def oracle_multiplicity(datum, lam, nu, depth=None):
     """
     if not same_block(lam, nu):
         return 0
-    offset = datum.root_coords(lam[0] - nu[0])
-    if offset is None or any(c.denominator != 1 or c < 0 for c in offset):
+    beta = datum.dominance_offset(nu[0], lam[0])
+    if beta is None:
         return 0
-    beta = offset
     if depth is None:
         depth = height(beta)
     if height(beta) > depth:

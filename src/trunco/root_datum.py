@@ -336,16 +336,17 @@ class RootDatum:
             return None
         return coords
 
-    def dominance_leq(self, lower, upper, indices=None):
-        """True when upper - lower is a Z>=0 combination of the given simples."""
+    def dominance_offset(self, lower, upper, indices=None):
+        """upper - lower as an int tuple of Z>=0 coefficients of the given
+        simples (default all), or None when it is no such combination."""
         coords = self.root_coords(upper - lower, indices)
-        return coords is not None and all(
-            c.denominator == 1 and c >= 0 for c in coords)
+        if coords is None or any(c.denominator != 1 or c < 0 for c in coords):
+            return None
+        return coords
 
     def weyl_group(self):
         if self._weyl is None:
-            self._weyl = ReflectionGroup(self, [self.simple_root(i) for i in range(self.rank)],
-                                         self.positive_roots)
+            self._weyl = ReflectionGroup(self, [self.simple_root(i) for i in range(self.rank)])
         return self._weyl
 
 
@@ -388,20 +389,17 @@ class ReflectionGroup:
     """Finite reflection group generated by reflections in chosen roots.
 
     `simples` are roots of the ambient datum (root coordinates) forming a
-    simple system for the subsystem; `positive_roots` are the subsystem's
-    positive roots, again as ambient root-coordinate vectors.  The full Weyl
-    group is the special case where these are the ambient simples and the
-    whole of Phi^+.
+    simple system for the subsystem.  The full Weyl group is the special
+    case where these are the ambient simples.
 
     Elements are numbered 0..order-1 in (length, word) order.  `lmul[i][w]`
     is the index of s_i w and `length[w]` the length of element w; both are
     built with the elements, on first use.
     """
 
-    def __init__(self, datum, simples, positive_roots):
+    def __init__(self, datum, simples):
         self.datum = datum
         self.simples = [tuple(s) for s in simples]
-        self.positive_roots = [tuple(r) for r in positive_roots]
         self.num_gens = len(self.simples)
         self._elements = None
         self._intervals = {0: 1}        # index y -> bitset of [e, y]

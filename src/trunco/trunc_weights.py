@@ -122,14 +122,3 @@ def n_dot(datum, w, lam):
     comps.extend(w.act(lam[i]) for i in range(1, n + 1))
     return TruncatedWeight(comps)
 
-
-def central_shift(datum, indices, lam0, nu0):
-    """Difference of the component-zero weights as a rational combination of
-    the Levi's simple roots, or None when they are not linked there."""
-    return datum.root_coords(lam0 - nu0, indices)
-
-
-def linked(datum, indices, lam, nu):
-    """Linkage at a standard Levi: same block and component-zero difference
-    in the rational span of the Levi roots."""
-    return same_block(lam, nu) and central_shift(datum, indices, lam[0], nu[0]) is not None

@@ -14,6 +14,13 @@ from trunco import linalg
 from trunco.characters import FormalCharacter, height
 
 
+def generator_matrix(module, gen, beta):
+    """The module's sparse generator matrix as dense rows, and its target."""
+    rows, target = module.generator_matrix(gen, beta)
+    return [[rows.get(r, {}).get(c, 0) for c in range(module.dimension(beta))]
+            for r in range(module.dimension(target))], target
+
+
 def _rank(rows):
     return len(linalg.row_echelon(rows)[1]) if rows and rows[0] else 0
 
@@ -33,7 +40,7 @@ def simple_character(module):
         rows = []
         for ri in simple_idx:
             for deg in range(module.n + 1):
-                mat, target = module.generator_matrix(("e", ri, deg), beta)
+                mat, target = generator_matrix(module, ("e", ri, deg), beta)
                 upper = constraints.get(target)
                 if upper is None or not mat:
                     continue
@@ -58,7 +65,7 @@ def invariants_character(module, levi_indices):
         rows = []
         for ri in outside:
             for deg in range(module.n + 1):
-                mat, _ = module.generator_matrix(("e", ri, deg), beta)
+                mat, _ = generator_matrix(module, ("e", ri, deg), beta)
                 rows.extend(mat)
         table[beta] = dim - _rank(rows)
     return FormalCharacter(base=module.lam[0], depth=module.depth, table=table)

@@ -16,8 +16,7 @@ from trunco import engine, kl, oracle
 from trunco.characters import cone, height, verma_character
 from trunco.engine import MultiplicityQuery
 from trunco.root_datum import Weight, build_root_datum
-from trunco.trunc_weights import (TruncatedWeight, central_shift,
-                                  find_twisting_word, n_dot)
+from trunco.trunc_weights import TruncatedWeight, find_twisting_word, n_dot
 
 import conftest
 from klsolver import KLSolver
@@ -99,7 +98,7 @@ def sweep_results():
                         w, levi = find_twisting_word(datum, lam[n])
                         lam2 = n_dot(datum, w, lam)
                         nu2 = n_dot(datum, w, nu)
-                        if central_shift(datum, levi, lam2[0], nu2[0]) is None:
+                        if datum.root_coords(lam2[0] - nu2[0], levi) is None:
                             linkage_violations.append(
                                 (type_str, tail, tuple(lam0.coords), beta))
     return {"checked": checked, "mismatches": mismatches,

@@ -138,6 +138,12 @@ def test_level_mismatch_is_status_two(capsys):
     ["character", "--type", "A1", "--n", "-1", "--depth", "2"],
     ["oracle", "--type", "A1", "--lambda", "[1],[0]", "--nu", "[-3],[0]",
      "--depth", "-1"],
+    ["table", "--type", "A2", "--lambda", "[0,0],[0,0]", "--depth", "-1"],
+    ["character", "--type", "A2", "--n", "1", "--depth", "-1"],
+    ["oracle", "--type", "A2", "--lambda", "[1,1],[0,0]",
+     "--nu", "[1,1],[0,0]", "--invariants", "0"],
+    ["oracle", "--type", "A2", "--lambda", "[1,1],[0,0]",
+     "--nu", "[1,1],[0,0]", "--invariants", "5"],
 ])
 def test_bad_input_is_status_two(capsys, argv):
     status = main(argv)

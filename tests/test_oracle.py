@@ -50,6 +50,32 @@ def test_module_dimensions_match_character():
     assert [module.dimension((k,)) for k in range(3)] == [1, 2, 3]
     a2 = build_root_datum("A2")
     build_verma(a2, _tw((1, 0), (0, 1)), 3)
+    g2 = build_root_datum("G2")
+    build_verma(g2, _tw((1, 0), (0, 1), (1, 1)), 3)
+
+
+def test_raising_rows_scale_generator_matrix_to_integers():
+    from trunco.oracle import _raising_rows
+    a2 = build_root_datum("A2")
+    module = TruncatedModule(a2, _tw((Fraction(1, 3), Fraction(2, 3)), (0, 1)), 3)
+    scales = set()
+    for beta in module.spaces:
+        for ri in range(len(module.chev.roots)):
+            for deg in range(module.n + 1):
+                gen = ("e", ri, deg)
+                rows = _raising_rows(module, gen, beta)
+                exact, _ = module.generator_matrix(gen, beta)
+                assert ({r: row.keys() for r, row in rows.items()}
+                        == {r: row.keys() for r, row in exact.items()})
+                pairs = [(v, exact[r][c]) for r, row in rows.items()
+                         for c, v in row.items()]
+                assert all(type(v) is int for v, _ in pairs)
+                if pairs:
+                    scale = Fraction(pairs[0][0]) / pairs[0][1]
+                    assert scale > 0
+                    assert all(v == scale * x for v, x in pairs)
+                    scales.add(scale)
+    assert max(scales) > 1
 
 
 def test_module_relations_hold_on_weight_spaces():
@@ -88,7 +114,7 @@ def test_degree_one_cartan_acts_by_tail_weight_nilpotently():
     module = TruncatedModule(a1, lam, 3)
     for beta in module.spaces:
         dim = module.dimension(beta)
-        mat, target = module.generator_matrix(("h", 0, 1), beta)
+        mat, target = dense_oracle.generator_matrix(module, ("h", 0, 1), beta)
         assert target == beta
         # (h_1 - mu) is nilpotent on each weight space
         shifted = [[mat[r][c] - (lam[1].coords[0] if r == c else 0)

@@ -132,14 +132,43 @@ def test_bruhat_respects_length():
 def test_dominance_examples():
     a1 = build_root_datum("A1")
     lam = Weight((Fraction(5),))
-    assert a1.dominance_leq(lam, lam)
-    assert a1.dominance_leq(lam - a1.root_weight((1,)), lam)
+    assert a1.dominance_offset(lam, lam) == (0,)
+    assert a1.dominance_offset(lam - a1.root_weight((1,)), lam) == (1,)
+    assert a1.dominance_offset(lam, lam - a1.root_weight((1,))) is None
     a2 = build_root_datum("A2")
     hi = Weight((0, 0))
     lo = hi - a2.root_weight((0, 1))
     # alpha_2 is not a combination of alpha_1 alone
-    assert not a2.dominance_leq(lo, hi, indices=(0,))
-    assert a2.dominance_leq(lo, hi)
+    assert a2.dominance_offset(lo, hi, indices=(0,)) is None
+    assert a2.dominance_offset(lo, hi) == (0, 1)
+    assert a2.dominance_offset(lo, hi, indices=(1,)) == (0, 1)
+
+
+def test_dominance_offset_matches_root_coords():
+    # upper - lower is built as a known rational combination of simples;
+    # the offset is that combination exactly when it is integral, >= 0 and
+    # supported on the given simples
+    rng = random.Random(5)
+    for type_str in ("A2", "B2", "G2", "A1xA1", "A3", "B3"):
+        datum = build_root_datum(type_str)
+        for _ in range(60):
+            lower = Weight(tuple(Fraction(rng.randint(-6, 6), rng.choice((1, 2, 3)))
+                                 for _ in range(datum.rank)))
+            den = rng.choice((1, 1, 2, 3))
+            beta = tuple(Fraction(rng.randint(-1, 3), den)
+                         for _ in range(datum.rank))
+            upper = lower + datum.root_weight(beta)
+            indices = rng.choice((None, tuple(sorted(rng.sample(
+                range(datum.rank), rng.randint(0, datum.rank))))))
+            support = range(datum.rank) if indices is None else indices
+            ok = all(c.denominator == 1 and c >= 0 for c in beta) and all(
+                c == 0 for j, c in enumerate(beta) if j not in support)
+            offset = datum.dominance_offset(lower, upper, indices)
+            if ok:
+                assert offset == beta
+                assert all(type(c) is int for c in offset)
+            else:
+                assert offset is None
 
 
 def test_type_parsing():
@@ -257,6 +286,24 @@ def test_guards_survive_optimized_mode():
                           env=dict(os.environ, PYTHONPATH=path),
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_every_export_is_used_in_the_package():
+    # An exported name that no module of the package refers to is dead code.
+    init = SRC / "trunco" / "__init__.py"
+    exported = {alias.asname or alias.name
+                for node in ast.parse(init.read_text()).body
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    used = set()
+    for path in (SRC / "trunco").glob("*.py"):
+        if path == init:
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    assert sorted(exported - used) == []
 
 
 def test_no_assert_statements_in_package():

@@ -4,8 +4,7 @@ import pytest
 from fractions import Fraction
 
 from trunco.root_datum import Weight, build_root_datum
-from trunco.trunc_weights import (TruncatedWeight, central_shift,
-                                  find_twisting_word, linked, n_dot,
+from trunco.trunc_weights import (TruncatedWeight, find_twisting_word, n_dot,
                                   same_block, singular_roots, standard_levi)
 
 
@@ -143,30 +142,13 @@ def test_n_dot_preserves_blocks():
         assert same_block(n_dot(a2, w, lam), n_dot(a2, w, nu))
 
 
-def test_central_shift_and_linked():
+def test_root_coords_on_a_levi():
     a2 = build_root_datum("A2")
     lam = _tw((2, 0), (0, 1))
     nu = _tw((0, 1), (0, 1))     # difference is alpha_1
-    assert central_shift(a2, (0,), lam[0], nu[0]) == (Fraction(1), Fraction(0))
-    assert linked(a2, (0,), lam, nu)
+    assert a2.root_coords(lam[0] - nu[0], (0,)) == (Fraction(1), Fraction(0))
     nu2 = _tw((3, -2), (0, 1))   # difference is -alpha_2
-    assert central_shift(a2, (0,), lam[0], nu2[0]) is None
-    assert not linked(a2, (0,), lam, nu2)
-    # regular tail: empty Levi links only equal zero components
-    assert linked(a2, (), lam, lam)
-    assert not linked(a2, (), lam, nu)
-
-
-def test_linked_is_an_equivalence():
-    a2 = build_root_datum("A2")
-    rng = random.Random(3)
-    tail = (Weight((0, 1)),)
-    weights = [TruncatedWeight((Weight((a, b)),) + tail)
-               for a in range(-2, 3) for b in range(-2, 3)]
-    for lam in weights:
-        assert linked(a2, (0,), lam, lam)
-    for _ in range(200):
-        x, y, z = (rng.choice(weights) for _ in range(3))
-        assert linked(a2, (0,), x, y) == linked(a2, (0,), y, x)
-        if linked(a2, (0,), x, y) and linked(a2, (0,), y, z):
-            assert linked(a2, (0,), x, z)
+    assert a2.root_coords(lam[0] - nu2[0], (0,)) is None
+    # empty Levi: only equal zero components are in the span
+    assert a2.root_coords(lam[0] - lam[0], ()) == (0, 0)
+    assert a2.root_coords(lam[0] - nu[0], ()) is None
