@@ -67,17 +67,8 @@ class PartitionCache:
         return total
 
 
-_PARTITIONS = {}
-
-
-def partition_cache(datum):
-    if datum.key not in _PARTITIONS:
-        _PARTITIONS[datum.key] = PartitionCache(datum.positive_roots)
-    return _PARTITIONS[datum.key]
-
-
 def kostant_partition(datum, beta):
-    return partition_cache(datum).count(beta)
+    return datum.partitions.count(beta)
 
 
 def cone(rank, depth):

@@ -14,7 +14,7 @@ import itertools
 from dataclasses import dataclass, field
 
 from . import kl
-from .characters import cone, partition_cache
+from .characters import cone
 from .trunc_weights import TruncatedWeight, find_twisting_word, n_dot, same_block
 
 
@@ -123,16 +123,17 @@ def _reduce_level(datum, lam, nu, trace):
         "lambda_twisted": str(lam2),
         "nu_twisted": str(nu2),
         "contributions": [],
-    })
+    }) if trace else None
     if delta is None:
-        node.details["reason"] = "weights not linked through the Levi"
+        if trace:
+            node.details["reason"] = "weights not linked through the Levi"
         return 0, node
     sub = datum.sub_datum(levi)
     idx = sorted(levi)
     lam_r = lam2.truncate(n - 1).restrict(idx)
     nu_r = nu2.truncate(n - 1).restrict(idx)
     bounds = [delta[j] for j in idx]
-    pfun = partition_cache(sub)
+    pfun = sub.partitions
     total = 0
     for alpha in itertools.product(*(range(b + 1) for b in bounds)):
         count = pfun.count(alpha)
@@ -141,12 +142,13 @@ def _reduce_level(datum, lam, nu, trace):
         shift = sub.root_weight(alpha)
         child_lam = TruncatedWeight((lam_r[0] - shift,) + lam_r.tail())
         child_value, child_node = _multiplicity(sub, child_lam, nu_r, trace)
-        node.details["contributions"].append(
-            {"alpha": list(alpha), "partitions": count, "child": child_value})
-        if child_node is not None:
-            node.children.append(child_node)
         total += count * child_value
-    node.value = total
+        if trace:
+            node.details["contributions"].append(
+                {"alpha": list(alpha), "partitions": count, "child": child_value})
+            node.children.append(child_node)
+    if trace:
+        node.value = total
     return total, node
 
 

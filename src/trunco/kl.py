@@ -129,15 +129,9 @@ def integral_subsystem(datum, lam0):
     return positive, simples
 
 
-_SUBGROUP_CACHE = {}
-
-
 def integral_weyl_group(datum, lam0):
-    positive, simples = integral_subsystem(datum, lam0)
-    key = (datum.key, tuple(positive))
-    if key not in _SUBGROUP_CACHE:
-        _SUBGROUP_CACHE[key] = ReflectionGroup(datum, simples)
-    return _SUBGROUP_CACHE[key]
+    """The datum's reflection group on the integral simples of lam0."""
+    return datum.reflection_group(integral_subsystem(datum, lam0)[1])
 
 
 @dataclass

@@ -202,39 +202,30 @@ class TruncatedModule:
         self.n = lam.level
         self.depth = depth
         self.chev = ChevalleyBasis.get(datum)
-        self.spaces = {}        # beta -> list of monomials
+        self.spaces = {beta: [] for beta in cone(datum.rank, depth)}
         self.position = {}      # monomial -> index in its space
         self._act_cache = {}
-        total = 0
-        for beta in cone(datum.rank, depth):
-            basis = self._monomials(beta)
-            self.spaces[beta] = basis
-            for k, m in enumerate(basis):
-                self.position[m] = k
-            total += len(basis)
-            if total > MAX_TOTAL_DIMENSION:
-                raise MemoryError("truncated Verma module exceeds size budget")
-
-    def _monomials(self, beta):
-        gens = [(ri, d) for ri in range(len(self.chev.roots))
+        # generators in position order, of nondecreasing height
+        gens = [((ri, d), root, height(root))
+                for ri, root in enumerate(self.chev.roots)
                 for d in range(self.n + 1)]
-        out = []
 
-        def rec(rem, start, acc):
-            if all(c == 0 for c in rem):
-                out.append(tuple(acc))
-                return
+        def rec(mono, beta, ht, start):
+            # depth first over nondecreasing positions, so that each space
+            # fills in lexicographic order
+            space = self.spaces[beta]
+            self.position[mono] = len(space)
+            space.append(mono)
+            if len(self.position) > MAX_TOTAL_DIMENSION:
+                raise MemoryError("truncated Verma module exceeds size budget")
             for pos in range(start, len(gens)):
-                ri, _ = gens[pos]
-                root = self.chev.roots[ri]
-                nxt = tuple(a - b for a, b in zip(rem, root))
-                if all(c >= 0 for c in nxt):
-                    acc.append(gens[pos])
-                    rec(nxt, pos, acc)
-                    acc.pop()
+                gen, root, h = gens[pos]
+                if ht + h > depth:
+                    break
+                rec(mono + (gen,), tuple(b + r for b, r in zip(beta, root)),
+                    ht + h, pos)
 
-        rec(tuple(beta), 0, [])
-        return out
+        rec((), (0,) * datum.rank, 0, 0)
 
     # -- the action ----------------------------------------------------
 

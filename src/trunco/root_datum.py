@@ -18,12 +18,14 @@ translates from the 1-based labels used on the command line.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
+from .characters import PartitionCache
 
 
 _FAMILY_MIN_RANK = {"A": 1, "B": 2, "C": 2, "D": 4, "E": 6, "F": 4, "G": 2}
@@ -194,9 +196,15 @@ def _root_closure(cartan):
 
 
 class RootDatum:
-    """A finite root system with exact rational pairings."""
+    """A finite root system with exact rational pairings.
 
-    _cache = {}
+    `build_root_datum` and `sub_datum` return the one interned datum of a
+    Cartan matrix, which owns the tables the matrix determines: reflection
+    groups (one per ordered simple system) and Kostant partitions.  A datum
+    built by `RootDatum(cartan)` is not interned.
+    """
+
+    _interned = {}
 
     def __init__(self, cartan):
         self.cartan = tuple(tuple(int(x) for x in row) for row in cartan)
@@ -215,18 +223,18 @@ class RootDatum:
                                      for row in inverse)
         self._inverse_den = den
         self.rho = Weight((1,) * self.rank)
-        self._sub_cache = {}
-        self._weyl = None
+        self._groups = {}
 
     # -- construction -------------------------------------------------
 
     @classmethod
-    def from_type(cls, type_str):
-        ct = CartanType.parse(type_str)
-        key = str(ct)
-        if key not in cls._cache:
-            cls._cache[key] = cls(ct.cartan_matrix())
-        return cls._cache[key]
+    def interned(cls, cartan):
+        """The one shared datum of this Cartan matrix."""
+        key = tuple(tuple(int(x) for x in row) for row in cartan)
+        datum = cls._interned.get(key)
+        if datum is None:
+            datum = cls._interned[key] = cls(key)
+        return datum
 
     def _solve_symmetrizer(self):
         # positive integers d_i with d_i a_ij = d_j a_ji, propagated along the
@@ -272,12 +280,15 @@ class RootDatum:
         return self.cartan
 
     def sub_datum(self, indices):
-        """Root datum of the standard Levi on the given simple indices."""
-        idx = tuple(sorted(indices))
-        if idx not in self._sub_cache:
-            sub = [[self.cartan[i][j] for j in idx] for i in idx]
-            self._sub_cache[idx] = RootDatum(sub)
-        return self._sub_cache[idx]
+        """Interned datum of the standard Levi on the given simples."""
+        idx = sorted(indices)
+        return RootDatum.interned(tuple(tuple(self.cartan[i][j] for j in idx)
+                                        for i in idx))
+
+    @functools.cached_property
+    def partitions(self):
+        """Kostant partition function of the positive roots."""
+        return PartitionCache(self.positive_roots)
 
     # -- roots and pairings -------------------------------------------
 
@@ -344,15 +355,23 @@ class RootDatum:
             return None
         return coords
 
+    def reflection_group(self, simples):
+        """The group generated by reflections in `simples`, numbered in
+        their order; one per ordered simple system."""
+        key = tuple(tuple(s) for s in simples)
+        group = self._groups.get(key)
+        if group is None:
+            group = self._groups[key] = ReflectionGroup(self, key)
+        return group
+
     def weyl_group(self):
-        if self._weyl is None:
-            self._weyl = ReflectionGroup(self, [self.simple_root(i) for i in range(self.rank)])
-        return self._weyl
+        return self.reflection_group(self.simple_root(i) for i in range(self.rank))
 
 
 def build_root_datum(type_str):
-    """Root datum for a Cartan type string such as "A2", "B3" or "A1xA1"."""
-    return RootDatum.from_type(type_str)
+    """Interned root datum for a Cartan type string such as "A2", "B3" or
+    "A1xA1"."""
+    return RootDatum.interned(CartanType.parse(type_str).cartan_matrix())
 
 
 class WeylElement:

@@ -1,20 +1,53 @@
-"""Module-level caches are keyed by the Cartan matrix, never by id().
+"""Cache policy: every table a Cartan matrix determines hangs off its datum.
 
-A cache keyed by id(datum) returns another datum's entry once that datum
-is freed and a new one is allocated at the same address.  These tests build
-and drop data of different types in a loop, so such a cache would answer
-with a stale entry.
+`build_root_datum` and `RootDatum.sub_datum` hand out one interned datum
+per Cartan matrix, so a Levi reached from any parent is the same object,
+with the same reflection groups and Kostant partition function.  The few
+caches that live outside a datum are keyed by its Cartan matrix, never by
+id(): a cache keyed by id(datum) returns another datum's entry once that
+datum is freed and a new one is allocated at the same address.  The last
+two tests build and drop uninterned data (`RootDatum(cartan)`) of different
+types in a loop, so such a cache would answer with a stale entry.
 """
 
+from fractions import Fraction
+
+from trunco import kl
 from trunco.characters import PartitionCache, kostant_partition
 from trunco.oracle import ChevalleyBasis
-from trunco.root_datum import CartanType, RootDatum
+from trunco.root_datum import CartanType, RootDatum, Weight, build_root_datum
 
 TYPES = ("A1", "A2", "B2", "G2", "C2", "A1xA1", "A3", "B3")
 
 
 def _fresh(type_str):
     return RootDatum(CartanType.parse(type_str).cartan_matrix())
+
+
+def test_one_datum_per_cartan_matrix():
+    a3 = build_root_datum("A3")
+    assert build_root_datum("A1xA1") is a3.sub_datum((0, 2))
+    assert build_root_datum("A1 x A1") is build_root_datum("A1xA1")
+    for type_str in TYPES:
+        d = build_root_datum(type_str)
+        assert d.sub_datum(range(d.rank)) is d, type_str
+        assert _fresh(type_str) is not d, type_str
+    a2 = build_root_datum("A2")
+    for parent in ("A3", "B3", "A4"):
+        levi = build_root_datum(parent).sub_datum((0, 1))
+        assert levi is a2, parent
+        assert levi.weyl_group() is a2.weyl_group()
+        assert levi.partitions is a2.partitions
+
+
+def test_integral_group_is_shared_across_parents():
+    # only alpha_1 + alpha_2 pairs integrally with lam0 + rho
+    lam0 = Weight((Fraction(1, 2), Fraction(1, 2)))
+    group = kl.integral_weyl_group(build_root_datum("A2"), lam0)
+    assert group.simples == [(1, 1)]
+    for parent in ("A3", "B3", "A4"):
+        levi = build_root_datum(parent).sub_datum((0, 1))
+        assert kl.integral_weyl_group(levi, lam0) is group, parent
 
 
 def test_kostant_partition_of_dropped_data():

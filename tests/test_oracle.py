@@ -4,7 +4,7 @@ import random
 import pytest
 from fractions import Fraction
 
-from trunco.characters import verma_character
+from trunco.characters import cone, verma_character
 from trunco.oracle import (ChevalleyBasis, TruncatedModule, build_verma,
                            invariants_character, oracle_multiplicity,
                            simple_character, verma_decomposition)
@@ -52,6 +52,37 @@ def test_module_dimensions_match_character():
     build_verma(a2, _tw((1, 0), (0, 1)), 3)
     g2 = build_root_datum("G2")
     build_verma(g2, _tw((1, 0), (0, 1), (1, 1)), 3)
+
+
+def test_weight_spaces_are_in_pbw_order():
+    # act_gen keeps a monomial's generators in nondecreasing (root index,
+    # degree) order, and each space lists its monomials lexicographically
+    for t in ("A2", "B2", "G2"):
+        datum = build_root_datum(t)
+        for n in range(3):
+            module = build_verma(datum, _tw(*[(0, 0)] * (n + 1)), 4)
+            assert list(module.spaces) == cone(2, 4)
+            for beta, space in module.spaces.items():
+                assert space == sorted(space), (t, n, beta)
+                for k, mono in enumerate(space):
+                    assert list(mono) == sorted(mono)
+                    assert all(d <= n for _, d in mono)
+                    roots = [module.chev.roots[ri] for ri, _ in mono]
+                    assert tuple(sum(r[j] for r in roots)
+                                 for j in range(2)) == beta
+                    assert module.position[mono] == k
+
+
+def test_module_size_budget(monkeypatch):
+    from trunco import oracle
+    a2 = build_root_datum("A2")
+    lam = _tw((0, 0), (0, 0))
+    dim = sum(map(len, TruncatedModule(a2, lam, 3).spaces.values()))
+    monkeypatch.setattr(oracle, "MAX_TOTAL_DIMENSION", dim)
+    TruncatedModule(a2, lam, 3)
+    monkeypatch.setattr(oracle, "MAX_TOTAL_DIMENSION", dim - 1)
+    with pytest.raises(MemoryError):
+        TruncatedModule(a2, lam, 3)
 
 
 def test_raising_rows_scale_generator_matrix_to_integers():

@@ -328,3 +328,30 @@ def test_no_assert_statements_in_package():
                   and env & {alias.name for alias in node.names}):
                 found.append("%s:%d from os import" % (path.name, node.lineno))
     assert found == []
+
+
+def test_no_module_level_caches_in_package():
+    # A table that a Cartan matrix determines belongs to its interned
+    # RootDatum.  A module-level empty dict is a cache outside any datum;
+    # only the per-query memos, keyed by value, may be one.
+    allowed = {("engine.py", "_VALUE_MEMO"), ("oracle.py", "_SIMPLE_CHAR_MEMO"),
+               ("oracle.py", "_DECOMP_MEMO")}
+    found = []
+    for path in sorted((SRC / "trunco").glob("*.py")):
+        for node in ast.parse(path.read_text(), str(path)).body:
+            if isinstance(node, ast.Assign):
+                targets, value = node.targets, node.value
+            elif isinstance(node, ast.AnnAssign) and node.value is not None:
+                targets, value = [node.target], node.value
+            else:
+                continue
+            empty = ((isinstance(value, ast.Dict) and not value.keys)
+                     or (isinstance(value, ast.Call)
+                         and isinstance(value.func, ast.Name)
+                         and value.func.id == "dict"
+                         and not value.args and not value.keywords))
+            for target in targets:
+                name = target.id if isinstance(target, ast.Name) else None
+                if empty and (path.name, name) not in allowed:
+                    found.append("%s:%d %s" % (path.name, node.lineno, name))
+    assert found == []
