@@ -3,8 +3,7 @@
 from .root_datum import (CartanType, RootDatum, Weight, WeylElement,
                          build_root_datum)
 from .kl import KLPolynomial, base_multiplicity, integral_subsystem, kl_polynomial
-from .trunc_weights import (TruncatedWeight, find_twisting_word, n_dot,
-                            same_block, singular_roots, standard_levi)
+from .trunc_weights import TruncatedWeight, find_twisting_word, n_dot, same_block
 from .characters import (FormalCharacter, PartitionCache, decompose_in_block,
                          kostant_partition, verma_character)
 from .engine import (MultiplicityQuery, MultiplicityTrace, multiplicity,

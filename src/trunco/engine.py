@@ -112,13 +112,13 @@ def _base_case(datum, lam0, nu0, trace):
 
 def _reduce_level(datum, lam, nu, trace):
     n = lam.level
-    w, levi = find_twisting_word(datum, lam[n])
-    lam2 = n_dot(datum, w, lam)
-    nu2 = n_dot(datum, w, nu)
+    word, levi = find_twisting_word(datum, lam[n])
+    lam2 = n_dot(datum, word, lam)
+    nu2 = n_dot(datum, word, nu)
     delta = datum.dominance_offset(nu2[0], lam2[0], levi)
     node = MultiplicityTrace("reduce", 0, {
         "n": n,
-        "twisting_word": list(w.word),
+        "twisting_word": list(word),
         "levi": list(levi),
         "lambda_twisted": str(lam2),
         "nu_twisted": str(nu2),

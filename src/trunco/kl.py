@@ -104,9 +104,65 @@ def _column(group, y):
     return column
 
 
+def _inverse_entry(group, a, b):
+    """The (a, b) entry of the inverse of A_{u,v} = (-1)^(l(u)+l(v)) P_{u,v}
+    on the Bruhat interval [a, b], for indices a and b; () when a is not
+    below b.
+
+    By the Kazhdan-Lusztig inversion formula (Kazhdan and Lusztig,
+    Representations of Coxeter groups and Hecke algebras, Invent. Math. 53
+    (1979), Theorem 3.1),
+
+        sum over x <= z <= w of (-1)^(l(x)+l(z)) P_{x,z} P_{w0 w, w0 z}
+            = delta_{x,w},
+
+    this entry is P_{w0 b, w0 a}.  Row a of the inverse is found by
+    back-substitution, R_v = -sum over a <= z < v of R_z A_{z,v}, which
+    needs only the columns of elements no longer than b.
+    """
+    length = group.length
+    lower = group._interval(b)          # [e, b]; it is short when b is
+    if not lower >> a & 1:
+        return ()
+    row = {a: (1,)}
+    while lower:
+        low = lower & -lower
+        lower ^= low
+        v = low.bit_length() - 1
+        # indices run in length order, so every z < v comes before v
+        if v == a or not group._interval(v) >> a & 1:
+            continue
+        column = _column(group, v)
+        # deg R_z + deg P_{z,v} <= (l(v) - l(a)) / 2 by the degree bounds
+        acc = [0] * ((length[v] - length[a]) // 2 + 1)
+        for z, r in row.items():
+            p = column.get(z)
+            if p:
+                sign = 1 if (length[z] + length[v]) % 2 else -1
+                for k, c in enumerate(r):
+                    if c:
+                        c *= sign
+                        for m, d in enumerate(p, k):
+                            acc[m] += c * d
+        row[v] = _trim(acc)
+    return row[b]
+
+
 def kl_polynomial(group, x, y):
-    """The Kazhdan-Lusztig polynomial P_{x,y} for elements of `group`."""
-    return KLPolynomial(_column(group, y.index).get(x.index, ()))
+    """The Kazhdan-Lusztig polynomial P_{x,y} for elements of `group`.
+
+    From the stored column of y when there is one; else from whichever end
+    of the Bruhat order is shorter: the column of y, or the interval
+    [w0 y, w0 x] through the inversion formula (see `_inverse_entry`).
+    """
+    column = group._kl_columns.get(y.index)
+    if column is None:
+        w0 = group.longest_element()
+        if w0.length - x.length < y.length:
+            return KLPolynomial(_inverse_entry(
+                group, group.mult(w0, y).index, group.mult(w0, x).index))
+        column = _column(group, y.index)
+    return KLPolynomial(column.get(x.index, ()))
 
 
 def integral_subsystem(datum, lam0):

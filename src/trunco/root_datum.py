@@ -443,7 +443,45 @@ class ReflectionGroup:
             return
         # breadth first from the identity, each element keyed by the integer
         # vector w(rho); a new element takes the word (i,) + word(u) of the
-        # first u in the previous layer with s_i u equal to it
+        # first u in the previous layer with s_i u equal to it.  Each vector
+        # is reflected once per generator; its images lie in the layers
+        # before and after it, so they fill its lmul column once the next
+        # layer is numbered.
+        reflect = self.reflector()
+        gens = range(self.num_gens)
+        rho = (1,) * self.datum.rank
+        words = {rho: ()}
+        index = {rho: 0}
+        order = [rho]
+        lmul = [[] for _ in gens]
+        frontier = [rho]
+        while frontier:
+            new, rows = [], []
+            for vec in frontier:
+                row = [reflect(i, vec) for i in gens]
+                rows.append(row)
+                for i, image in enumerate(row):
+                    if image not in words:
+                        words[image] = (i,) + words[vec]
+                        new.append(image)
+            new.sort(key=words.__getitem__)
+            for vec in new:
+                index[vec] = len(order)
+                order.append(vec)
+            for row in rows:
+                for i, image in enumerate(row):
+                    lmul[i].append(index[image])
+            frontier = new
+            if len(words) > 400000:
+                raise ValueError("reflection group too large to materialize")
+        self._elements = [WeylElement(self, n, words[vec])
+                          for n, vec in enumerate(order)]
+        self.length = [w.length for w in self._elements]
+        self.lmul = lmul
+
+    def reflector(self):
+        """reflect(i, vec): generator i acting on the coordinate tuple of a
+        weight."""
         mirrors = [(self.datum.coroot_coords(r), self.datum._root_weights[r])
                    for r in self.simples]
 
@@ -452,29 +490,7 @@ class ReflectionGroup:
             pair = sum(c * v for c, v in zip(coroot, vec))
             return tuple(v - pair * r for v, r in zip(vec, root_weight))
 
-        rho = (1,) * self.datum.rank
-        words = {rho: ()}
-        order = [rho]
-        frontier = [rho]
-        while frontier:
-            new = []
-            for vec in frontier:
-                for i in range(self.num_gens):
-                    image = reflect(i, vec)
-                    if image not in words:
-                        words[image] = (i,) + words[vec]
-                        new.append(image)
-            new.sort(key=words.__getitem__)
-            order.extend(new)
-            frontier = new
-            if len(words) > 400000:
-                raise ValueError("reflection group too large to materialize")
-        index = {vec: n for n, vec in enumerate(order)}
-        self._elements = [WeylElement(self, n, words[vec])
-                          for n, vec in enumerate(order)]
-        self.length = [w.length for w in self._elements]
-        self.lmul = [[index[reflect(i, vec)] for vec in order]
-                     for i in range(self.num_gens)]
+        return reflect
 
     def elements(self):
         """All elements, sorted by (length, word); element n has index n."""

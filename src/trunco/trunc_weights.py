@@ -59,48 +59,59 @@ def same_block(lam, nu):
     return lam.level == nu.level and lam.tail() == nu.tail()
 
 
-def singular_roots(datum, mu):
-    """Positive roots alpha with <mu, alpha^vee> = 0."""
-    return [r for r in datum.positive_roots if datum.pairing(mu, r) == 0]
+def _singular_levi(datum, nu):
+    """J = {i : nu_i = 0} when the roots singular for the weight with
+    coordinates nu are the positive roots of the standard Levi on J, else
+    None.
 
-
-def standard_levi(datum, roots):
-    """Simple indices J when `roots` is the positive system of a standard
-    Levi subalgebra, else None.
-
-    The test: every member must be a Z>=0 combination of the simple roots
-    contained in the set.
+    Every root supported on J is singular, so the test is the converse:
+    each positive root alpha with <nu, alpha^vee> = 0 is supported on J.
     """
-    root_set = set(tuple(r) for r in roots)
-    j = [i for i in range(datum.rank) if datum.simple_root(i) in root_set]
-    span = set()
-    for r in root_set:
-        if all(c == 0 for k, c in enumerate(r) if k not in j):
-            span.add(r)
-    if span != root_set:
-        return None
-    return tuple(j)
+    j = tuple(i for i, c in enumerate(nu) if c == 0)
+    for root in datum.positive_roots:
+        if (not sum(c * v for c, v in zip(datum.coroot_coords(root), nu))
+                and any(root[i] for i in range(datum.rank) if nu[i] != 0)):
+            return None
+    return j
 
 
 def find_twisting_word(datum, mu):
     """Minimal-length w with the singular roots of w(mu) a standard Levi.
 
-    Returns (w, J).  Ties are broken by lexicographically least canonical
-    word.  Along the way the chain condition is checked: each reflection in
-    the word pairs nontrivially with the partially twisted weight, so the
-    twist is a composition of reflections in nonsingular roots.
+    Returns (word of w, J).  Ties are broken by lexicographically least
+    canonical word.  The group is searched layer by layer with the discovery
+    rule of `ReflectionGroup.elements` (each layer sorted by word, each
+    element reflected by the generators in ascending order), carrying the
+    pair (w(rho), w(mu)), so the word found is w's canonical word and nothing
+    past the first layer with a hit is visited.  Along the way the chain
+    condition is checked: each reflection in the word pairs nontrivially with
+    the partially twisted weight, so the twist is a composition of
+    reflections in nonsingular roots.
     """
-    group = datum.weyl_group()
-    for w in group.elements():  # sorted by (length, word)
-        j = standard_levi(datum, singular_roots(datum, w.act(mu)))
-        if j is not None:
-            _check_chain_condition(datum, w, mu)
-            return w, j
+    reflect = datum.weyl_group().reflector()
+    gens = range(datum.rank)
+    layer = [((), datum.rho.coords, mu.coords)]
+    before = set()
+    while layer:
+        for word, _, nu in layer:
+            j = _singular_levi(datum, nu)
+            if j is not None:
+                _check_chain_condition(datum, word, mu)
+                return word, j
+        # s_i w is one longer or one shorter than w; the shorter ones are
+        # in the layer before
+        new = {}
+        for word, vec, nu in layer:
+            for i in gens:
+                image = reflect(i, vec)
+                if image not in before and image not in new:
+                    new[image] = ((i,) + word, image, reflect(i, nu))
+        before = {vec for _, vec, _ in layer}
+        layer = sorted(new.values())
     raise RuntimeError("no twisting word found")
 
 
-def _check_chain_condition(datum, w, mu):
-    word = w.word
+def _check_chain_condition(datum, word, mu):
     partial = mu
     for pos in range(len(word) - 1, -1, -1):
         i = word[pos]
@@ -109,8 +120,9 @@ def _check_chain_condition(datum, w, mu):
         partial = datum.reflect_weight(datum.simple_root(i), partial)
 
 
-def n_dot(datum, w, lam):
-    """The shifted dot action on a truncated weight of level n.
+def n_dot(datum, word, lam):
+    """The shifted dot action of a Weyl group word on a truncated weight of
+    level n.
 
     Component zero transforms by w(lambda_0 + (n+1) rho) - (n+1) rho, the
     others by the plain action.  The shift coefficient counts the current
@@ -118,7 +130,8 @@ def n_dot(datum, w, lam):
     """
     n = lam.level
     shift = (n + 1) * datum.rho
-    comps = [w.act(lam[0] + shift) - shift]
-    comps.extend(w.act(lam[i]) for i in range(1, n + 1))
+    act = datum.weyl_group().act_word
+    comps = [act(word, lam[0] + shift) - shift]
+    comps.extend(act(word, lam[i]) for i in range(1, n + 1))
     return TruncatedWeight(comps)
 

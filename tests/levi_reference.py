@@ -1,0 +1,43 @@
+"""Reference forms of the twisting search, used to cross-check
+trunc_weights.py.
+
+`singular_roots` and `standard_levi` test a weight root by root: the
+singular roots are listed, and the set must be the positive system of the
+standard Levi on the simple roots it contains.  `twisting_word` scans the
+listed Weyl group in (length, word) order.  The package folds the first two
+into one test on coordinate tuples and searches the group layer by layer
+without listing it.
+"""
+
+
+def singular_roots(datum, mu):
+    """Positive roots alpha with <mu, alpha^vee> = 0."""
+    return [r for r in datum.positive_roots if datum.pairing(mu, r) == 0]
+
+
+def standard_levi(datum, roots):
+    """Simple indices J when `roots` is the positive system of a standard
+    Levi subalgebra, else None.
+
+    The test: every member must be a Z>=0 combination of the simple roots
+    contained in the set.
+    """
+    root_set = set(tuple(r) for r in roots)
+    j = [i for i in range(datum.rank) if datum.simple_root(i) in root_set]
+    span = set()
+    for r in root_set:
+        if all(c == 0 for k, c in enumerate(r) if k not in j):
+            span.add(r)
+    if span != root_set:
+        return None
+    return tuple(j)
+
+
+def twisting_word(datum, mu):
+    """(canonical word of the first w in (length, word) order with the
+    singular roots of w(mu) a standard Levi, J)."""
+    for w in datum.weyl_group().elements():
+        j = standard_levi(datum, singular_roots(datum, w.act(mu)))
+        if j is not None:
+            return w.word, j
+    raise RuntimeError("no twisting word found")

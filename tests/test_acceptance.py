@@ -305,7 +305,8 @@ def test_criterion_7_twisting_invariance():
         base = _engine_value(a2, lam, nu)
         for i in movable:
             s = group.from_word((i,))
-            moved = _engine_value(a2, n_dot(a2, s, lam), n_dot(a2, s, nu))
+            moved = _engine_value(a2, n_dot(a2, s.word, lam),
+                                  n_dot(a2, s.word, nu))
             if moved != base:
                 failures.append((tuple(map(str, comps)), beta, i,
                                  base, moved))
@@ -320,8 +321,8 @@ def test_criterion_7_twisting_invariance():
                 [Weight((Fraction(rng.randint(-6, 6), rng.randint(1, 3)),
                          Fraction(rng.randint(-6, 6), rng.randint(1, 3))))
                  for _ in range(rng.randint(1, 3))])
-            if n_dot(datum, grp.mult(w1, w2), lam) != \
-                    n_dot(datum, w1, n_dot(datum, w2, lam)):
+            if n_dot(datum, grp.mult(w1, w2).word, lam) != \
+                    n_dot(datum, w1.word, n_dot(datum, w2.word, lam)):
                 failures.append((t, w1.word, w2.word, "action"))
     _report(7, "multiplicities invariant under dot transport", failures,
             started)

@@ -99,7 +99,7 @@ def test_twisting_invariance_at_top_level():
         if a2.pairing(lam[1], a2.simple_root(i)) == 0:
             continue
         s = group.from_word((i,))
-        assert _value(a2, n_dot(a2, s, lam), n_dot(a2, s, nu)) == base
+        assert _value(a2, n_dot(a2, s.word, lam), n_dot(a2, s.word, nu)) == base
 
 
 def test_trace_reduce_node_is_self_consistent():
@@ -192,3 +192,25 @@ def test_engine_matches_oracle_on_random_blocks(case):
     for beta in cone(datum.rank, depth):
         nu = TruncatedWeight((lam[0] - datum.root_weight(beta),) + lam.tail())
         assert _value(datum, lam, nu) == dec.get(beta, 0), (type_str, lam, beta)
+
+
+@pytest.mark.parametrize("type_str", ["D5", "F4", "E6"])
+def test_zero_tail_table_of_a_large_group_matches_oracle(type_str):
+    # the KL layer answers from short intervals [w0 x, w0 y], so the
+    # engine reaches W(E6) at a depth the oracle also reaches
+    datum = build_root_datum(type_str)
+    zero = Weight((0,) * datum.rank)
+    lam = TruncatedWeight([zero, zero])
+    dec = oracle.verma_decomposition(datum, lam, 2)
+    assert multiplicity_table(datum, lam, 2) == {
+        lam[0] - datum.root_weight(beta): v for beta, v in dec.items() if v}
+
+
+@pytest.mark.parametrize("type_str", ["B7", "D7", "E7", "E8", "A9"])
+def test_equal_weights_answer_without_listing_w(type_str):
+    # a zero tail twists by e, so nothing lists the Weyl group
+    datum = build_root_datum(type_str)
+    zero = Weight((0,) * datum.rank)
+    lam = TruncatedWeight([zero, zero])
+    assert _value(datum, lam, lam) == 1
+    assert datum.weyl_group()._elements is None

@@ -2,8 +2,9 @@ import random
 from fractions import Fraction
 
 from trunco.characters import cone
-from trunco.kl import (_longest_taking, base_multiplicity, block_descriptor,
-                       integral_subsystem, integral_weyl_group, kl_polynomial)
+from trunco.kl import (_column, _inverse_entry, _longest_taking,
+                       base_multiplicity, block_descriptor, integral_subsystem,
+                       integral_weyl_group, kl_polynomial)
 from trunco.root_datum import Weight, build_root_datum
 from trunco.trunc_weights import TruncatedWeight
 from trunco import oracle
@@ -47,6 +48,49 @@ def test_kl_agrees_with_bar_involution_solver_in_a3():
     for x in group.elements():
         for y in group.elements():
             assert kl_polynomial(group, x, y).coeffs == solver.kl(x, y)
+
+
+def _sample_pairs(group, count, rng):
+    """(x, y) pairs: half with x below y, half drawn freely."""
+    elements = group.elements()
+    pairs = []
+    for k in range(count):
+        y = rng.choice(elements)
+        if k % 2:
+            x = rng.choice(elements)
+        else:
+            bits = group._interval(y.index)
+            x = rng.choice([w for w in elements if bits >> w.index & 1])
+        pairs.append((x, y))
+    return pairs
+
+
+def test_inversion_and_column_paths_agree():
+    # P_{x,y} from the column of y, and as the (w0 y, w0 x) entry of the
+    # inverse on [w0 y, w0 x], each path forced; kl_polynomial picks one
+    rng = random.Random(23)
+    for type_str, count in (("B3", 300), ("A4", 300), ("D4", 300), ("F4", 50)):
+        group = build_root_datum(type_str).weyl_group()
+        w0 = group.longest_element()
+        for x, y in _sample_pairs(group, count, rng):
+            direct = _column(group, y.index).get(x.index, ())
+            inverted = _inverse_entry(group, group.mult(w0, y).index,
+                                      group.mult(w0, x).index)
+            assert inverted == direct, (type_str, x, y)
+            assert kl_polynomial(group, x, y).coeffs == direct
+
+
+def test_both_paths_agree_with_bar_involution_solver():
+    rng = random.Random(29)
+    for type_str, count in (("B3", 200), ("A4", 60), ("D4", 40), ("F4", 8)):
+        group = build_root_datum(type_str).weyl_group()
+        w0 = group.longest_element()
+        solver = KLSolver(group)
+        for x, y in _sample_pairs(group, count, rng):
+            want = solver.kl(x, y)
+            assert _column(group, y.index).get(x.index, ()) == want
+            assert _inverse_entry(group, group.mult(w0, y).index,
+                                  group.mult(w0, x).index) == want
 
 
 def test_integral_subsystem():

@@ -1,11 +1,14 @@
+import itertools
 import random
 
 import pytest
 from fractions import Fraction
 
-from trunco.root_datum import Weight, build_root_datum
-from trunco.trunc_weights import (TruncatedWeight, find_twisting_word, n_dot,
-                                  same_block, singular_roots, standard_levi)
+from trunco.root_datum import RootDatum, Weight, build_root_datum
+from trunco.trunc_weights import (TruncatedWeight, _singular_levi,
+                                  find_twisting_word, n_dot, same_block)
+
+from levi_reference import singular_roots, standard_levi, twisting_word
 
 
 def _tw(*coords):
@@ -72,20 +75,17 @@ def test_standard_levi():
 
 def test_find_twisting_word_trivial_cases():
     a2 = build_root_datum("A2")
-    w, j = find_twisting_word(a2, Weight((1, 1)))
-    assert w.length == 0 and j == ()
-    w, j = find_twisting_word(a2, Weight((0, 0)))
-    assert w.length == 0 and j == (0, 1)
-    w, j = find_twisting_word(a2, Weight((0, 1)))
-    assert w.length == 0 and j == (0,)
+    assert find_twisting_word(a2, Weight((1, 1))) == ((), ())
+    assert find_twisting_word(a2, Weight((0, 0))) == ((), (0, 1))
+    assert find_twisting_word(a2, Weight((0, 1))) == ((), (0,))
 
 
 def test_find_twisting_word_nontrivial():
     a2 = build_root_datum("A2")
     w, j = find_twisting_word(a2, Weight((1, -1)))
-    assert w.length == 1
+    assert len(w) == 1
     assert len(j) == 1
-    moved = w.act(Weight((1, -1)))
+    moved = a2.weyl_group().act_word(w, Weight((1, -1)))
     assert standard_levi(a2, singular_roots(a2, moved)) == j
 
 
@@ -100,7 +100,43 @@ def test_find_twisting_word_is_minimal():
                 v.length for v in group.elements()
                 if standard_levi(datum,
                                  singular_roots(datum, v.act(mu))) is not None)
-            assert w.length == best
+            assert len(w) == best
+
+
+def _sample_weights(rank, rng):
+    """Every integral weight with entries in -2..2 (up to rank 2, else a
+    sample of them), and as many with random non-integral entries."""
+    grid = [Weight(c) for c in itertools.product(range(-2, 3), repeat=rank)]
+    if rank > 2:
+        grid = rng.sample(grid, 60)
+    halves = [Weight(tuple(Fraction(rng.randint(-4, 4), rng.choice((1, 2, 3)))
+                           for _ in range(rank))) for _ in grid]
+    return grid + halves
+
+
+def test_singular_levi_matches_the_root_by_root_test():
+    rng = random.Random(5)
+    for t in ("A2", "B2", "G2", "A3", "B3", "C3"):
+        datum = build_root_datum(t)
+        for mu in _sample_weights(datum.rank, rng):
+            assert _singular_levi(datum, mu.coords) == \
+                standard_levi(datum, singular_roots(datum, mu)), (t, mu)
+
+
+def test_layer_search_matches_the_scan_over_listed_w():
+    rng = random.Random(3)
+    for t in ("A2", "B2", "G2", "A3", "B3", "C3"):
+        datum = build_root_datum(t)
+        for mu in _sample_weights(datum.rank, rng):
+            assert find_twisting_word(datum, mu) == twisting_word(datum, mu), \
+                (t, mu)
+
+
+def test_layer_search_leaves_the_group_unlisted():
+    datum = RootDatum(build_root_datum("B3").cartan)   # not interned
+    word, j = find_twisting_word(datum, Weight((1, -1, 1)))
+    assert word and j is not None
+    assert datum.weyl_group()._elements is None
 
 
 def test_n_dot_levels():
@@ -109,10 +145,10 @@ def test_n_dot_levels():
     s = group.from_word((0,))
     # level 0 is the classical dot action: s.m = -m - 2
     lam = _tw((3,))
-    assert n_dot(a1, s, lam)[0] == Weight((-5,))
+    assert n_dot(a1, s.word, lam)[0] == Weight((-5,))
     # level 1 shifts by 2 rho instead
     lam = _tw((3,), (1,))
-    image = n_dot(a1, s, lam)
+    image = n_dot(a1, s.word, lam)
     assert image[0] == Weight((-7,))
     assert image[1] == Weight((-1,))
 
@@ -128,8 +164,8 @@ def test_n_dot_is_a_group_action():
             lam = _tw(*(tuple(Fraction(rng.randint(-6, 6), rng.randint(1, 3))
                               for _ in range(datum.rank))
                         for _ in range(rng.randint(1, 3))))
-            lhs = n_dot(datum, group.mult(w1, w2), lam)
-            rhs = n_dot(datum, w1, n_dot(datum, w2, lam))
+            lhs = n_dot(datum, group.mult(w1, w2).word, lam)
+            rhs = n_dot(datum, w1.word, n_dot(datum, w2.word, lam))
             assert lhs == rhs
 
 
@@ -139,7 +175,7 @@ def test_n_dot_preserves_blocks():
     lam = _tw((1, 0), (2, -1))
     nu = _tw((0, 0), (2, -1))
     for w in group.elements():
-        assert same_block(n_dot(a2, w, lam), n_dot(a2, w, nu))
+        assert same_block(n_dot(a2, w.word, lam), n_dot(a2, w.word, nu))
 
 
 def test_root_coords_on_a_levi():
