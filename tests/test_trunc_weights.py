@@ -105,13 +105,13 @@ def test_find_twisting_word_is_minimal():
 
 def _sample_weights(rank, rng):
     """Every integral weight with entries in -2..2 (up to rank 2, else a
-    sample of them), and as many with random non-integral entries."""
+    sample of them), and as many with random rational entries."""
     grid = [Weight(c) for c in itertools.product(range(-2, 3), repeat=rank)]
     if rank > 2:
         grid = rng.sample(grid, 60)
-    halves = [Weight(tuple(Fraction(rng.randint(-4, 4), rng.choice((1, 2, 3)))
+    rational = [Weight(tuple(Fraction(rng.randint(-4, 4), rng.choice((1, 2, 3)))
                            for _ in range(rank))) for _ in grid]
-    return grid + halves
+    return grid + rational
 
 
 def test_singular_levi_matches_the_root_by_root_test():
