@@ -5,7 +5,9 @@ minimal Weyl group element making the top tail component singular along a
 standard Levi, apply the n-shifted dot action, drop the (now trivial) top
 component, restrict to the Levi, and convolve with the Levi's Kostant
 partition function.  Level zero is classical category O, answered by
-Kazhdan-Lusztig polynomials at q = 1.
+Kazhdan-Lusztig polynomials at q = 1.  The twisting word, the Levi and the
+twisted tail depend only on the block, so the datum keeps one plan per tail
+and a query twists only lambda_0 and its offset to nu_0.
 """
 
 from __future__ import annotations
@@ -15,7 +17,9 @@ from dataclasses import dataclass, field
 
 from . import kl
 from .characters import cone
-from .trunc_weights import TruncatedWeight, find_twisting_word, n_dot, same_block
+from .root_datum import Weight
+from .trunc_weights import (TruncatedWeight, find_twisting_word, n_dot,
+                            same_block, shifted_dot)
 
 
 @dataclass(frozen=True)
@@ -77,12 +81,12 @@ def _multiplicity(datum, lam, nu, trace):
     n = lam.level
     if not same_block(lam, nu):
         value, node = 0, _zero_trace("different blocks")
-    elif datum.dominance_offset(nu[0], lam[0]) is None:
+    elif (beta := datum.dominance_offset(nu[0], lam[0])) is None:
         value, node = 0, _zero_trace("nu_0 not below lambda_0")
     elif n == 0:
         value, node = _base_case(datum, lam[0], nu[0], trace)
     else:
-        value, node = _reduce_level(datum, lam, nu, trace)
+        value, node = _reduce_level(datum, lam, nu, beta, trace)
     _VALUE_MEMO[key] = value
     return value, (node if trace else None)
 
@@ -110,37 +114,65 @@ def _base_case(datum, lam0, nu0, trace):
     return value, MultiplicityTrace("base", value, details)
 
 
-def _reduce_level(datum, lam, nu, trace):
+@dataclass(frozen=True)
+class _BlockPlan:
+    """The part of a level reduction that depends only on the block."""
+
+    word: tuple          # twisting word w
+    levi: tuple          # J, ascending: the twisted top component's Levi
+    tail: tuple          # w(lambda_1), ..., w(lambda_n)
+    sub: object          # the Levi's datum
+    sub_tail: tuple      # w(lambda_1), ..., w(lambda_(n-1)) restricted to J
+
+
+def _block_plan(datum, lam):
+    """The datum's plan for the block of lam, built on first use from one
+    twisting search per top component."""
+    tail = lam.tail()
+    plan = datum._plans.get(tail)
+    if plan is None:
+        twist = datum._twists.get(tail[-1])
+        if twist is None:
+            twist = datum._twists[tail[-1]] = find_twisting_word(datum, tail[-1])
+        word, levi = twist
+        twisted = n_dot(datum, word, lam)
+        plan = datum._plans[tail] = _BlockPlan(
+            word, levi, twisted.tail(), datum.sub_datum(levi),
+            twisted.truncate(lam.level - 1).restrict(levi).tail())
+    return plan
+
+
+def _reduce_level(datum, lam, nu, beta, trace):
     n = lam.level
-    word, levi = find_twisting_word(datum, lam[n])
-    lam2 = n_dot(datum, word, lam)
-    nu2 = n_dot(datum, word, nu)
-    delta = datum.dominance_offset(nu2[0], lam2[0], levi)
+    plan = _block_plan(datum, lam)
+    lam2_0 = shifted_dot(datum, plan.word, lam[0], n)
+    # the shifts cancel: lam2_0 - nu2_0 = w(lam_0 - nu_0) = w(beta)
+    delta = datum.weyl_group().act_word_root(plan.word, beta)
     node = MultiplicityTrace("reduce", 0, {
         "n": n,
-        "twisting_word": list(word),
-        "levi": list(levi),
-        "lambda_twisted": str(lam2),
-        "nu_twisted": str(nu2),
+        "twisting_word": list(plan.word),
+        "levi": list(plan.levi),
+        "lambda_twisted": str(TruncatedWeight((lam2_0,) + plan.tail)),
+        "nu_twisted": str(TruncatedWeight(
+            (lam2_0 - datum.root_weight(delta),) + plan.tail)),
         "contributions": [],
     }) if trace else None
-    if delta is None:
+    bounds = [delta[j] for j in plan.levi]
+    if any(c < 0 for c in delta) or sum(bounds) != sum(delta):
         if trace:
             node.details["reason"] = "weights not linked through the Levi"
         return 0, node
-    sub = datum.sub_datum(levi)
-    idx = sorted(levi)
-    lam_r = lam2.truncate(n - 1).restrict(idx)
-    nu_r = nu2.truncate(n - 1).restrict(idx)
-    bounds = [delta[j] for j in idx]
+    sub = plan.sub
+    lam_r0 = Weight(tuple(lam2_0.coords[j] for j in plan.levi))
+    nu_r = TruncatedWeight((lam_r0 - sub.root_weight(bounds),) + plan.sub_tail)
     pfun = sub.partitions
     total = 0
     for alpha in itertools.product(*(range(b + 1) for b in bounds)):
         count = pfun.count(alpha)
         if count == 0:
             continue
-        shift = sub.root_weight(alpha)
-        child_lam = TruncatedWeight((lam_r[0] - shift,) + lam_r.tail())
+        child_lam = TruncatedWeight(
+            (lam_r0 - sub.root_weight(alpha),) + plan.sub_tail)
         child_value, child_node = _multiplicity(sub, child_lam, nu_r, trace)
         total += count * child_value
         if trace:

@@ -190,7 +190,7 @@ def integral_weyl_group(datum, lam0):
     return datum.reflection_group(integral_subsystem(datum, lam0)[1])
 
 
-@dataclass
+@dataclass(frozen=True)
 class BlockDescriptor:
     """Combinatorial data of the level-zero block through lam0."""
 
@@ -214,13 +214,19 @@ def _to_dominant(datum, group, mu):
 
 
 def block_descriptor(datum, lam0):
-    group = integral_weyl_group(datum, lam0)
-    dominant, y = _to_dominant(datum, group, lam0 + datum.rho)
-    w0 = group.longest_element()
-    anti = w0.act(dominant)
-    stab = [i for i, r in enumerate(group.simples) if datum.pairing(anti, r) == 0]
-    return BlockDescriptor(group, anti - datum.rho, stab, dominant,
-                           group.mult(y, w0))
+    """The descriptor of the level-zero block through lam0, one per datum
+    and lam0, built on first use."""
+    desc = datum._descriptors.get(lam0)
+    if desc is None:
+        group = integral_weyl_group(datum, lam0)
+        dominant, y = _to_dominant(datum, group, lam0 + datum.rho)
+        w0 = group.longest_element()
+        anti = w0.act(dominant)
+        stab = [i for i, r in enumerate(group.simples)
+                if datum.pairing(anti, r) == 0]
+        desc = datum._descriptors[lam0] = BlockDescriptor(
+            group, anti - datum.rho, stab, dominant, group.mult(y, w0))
+    return desc
 
 
 def _longest_taking(datum, desc, target):

@@ -46,6 +46,7 @@ class ChevalleyBasis:
         self.roots = datum.positive_roots
         self.index = {r: i for i, r in enumerate(self.roots)}
         self._npos = {}
+        self.shifted = {}       # degree-shifted brackets, see TruncatedModule
         self._build_constants()
         self._check_jacobi()
 
@@ -226,23 +227,22 @@ class TruncatedModule:
                     ht + h, pos)
 
         rec((), (0,) * datum.rank, 0, 0)
+        del rec     # break the cycle rec -> cell -> rec, which holds self
 
     # -- the action ----------------------------------------------------
 
     def _bracket_trunc(self, gen1, gen2):
-        """Bracket of two degree-shifted generators, dropping t^(>n)."""
+        """Bracket of two degree-shifted generators, dropping t^(>n); the
+        basis keeps one list per generator pair."""
         deg = gen1[2] + gen2[2]
         if deg > self.n:
             return []
-        e1 = (gen1[0], gen1[1]) if gen1[0] == "h" else (gen1[0], self.chev.roots[gen1[1]])
-        e2 = (gen2[0], gen2[1]) if gen2[0] == "h" else (gen2[0], self.chev.roots[gen2[1]])
-        out = []
-        for c, el in self.chev.bracket(e1, e2):
-            if el[0] == "h":
-                out.append((c, ("h", el[1], deg)))
-            else:
-                out.append((c, (el[0], self.chev.index[el[1]], deg)))
-        return out
+        chev, key = self.chev, (gen1, gen2)
+        if key not in chev.shifted:
+            x, y = ((k, i if k == "h" else chev.roots[i]) for k, i, _ in key)
+            chev.shifted[key] = [(c, (k, r if k == "h" else chev.index[r], deg))
+                                 for c, (k, r) in chev.bracket(x, y)]
+        return chev.shifted[key]
 
     def act_gen(self, gen, mono):
         """Action of a generator (kind, index, degree) on a basis monomial.
@@ -271,10 +271,10 @@ class TruncatedModule:
             out = {}
             for m, c in self.act_gen(gen, rest).items():
                 for m2, c2 in self.act_gen(fhead, m).items():
-                    _acc(out, m2, c * c2)
+                    out[m2] = out.get(m2, 0) + c * c2
             for cb, el in self._bracket_trunc(gen, fhead):
                 for m, c in self.act_gen(el, rest).items():
-                    _acc(out, m, cb * c)
+                    out[m] = out.get(m, 0) + cb * c
             out = {m: c for m, c in out.items() if c}
         self._act_cache[key] = out
         return out
@@ -307,10 +307,6 @@ class TruncatedModule:
         return len(self.spaces.get(tuple(beta), []))
 
 
-def _acc(table, key, value):
-    table[key] = table.get(key, 0) + value
-
-
 def build_verma(datum, lam, depth):
     module = TruncatedModule(datum, lam, depth)
     # cross-check dimensions against the character formula
@@ -339,20 +335,23 @@ def _eliminate(basis, row):
     least column is its pivot. The row is combined with basis rows, in
     integers, until it is zero or its least column is a new pivot.
     """
-    while True:
-        row = {c: v for c, v in row.items() if v}
-        if not row:
-            return
+    row = {c: v for c, v in row.items() if v}
+    while row:
         g = gcd(*row.values())
-        row = {c: v // g for c, v in row.items()}
+        if g != 1:
+            row = {c: v // g for c, v in row.items()}
         pivot = min(row)
         other = basis.get(pivot)
         if other is None:
             basis[pivot] = row
             return
-        a, b = other[pivot], row[pivot]
-        row = {c: a * row.get(c, 0) - b * other.get(c, 0)
-               for c in row.keys() | other.keys()}
+        g = gcd(other[pivot], row[pivot])
+        a, b = other[pivot] // g, row[pivot] // g
+        for c in row:
+            row[c] *= a
+        for c, v in other.items():
+            row[c] = row.get(c, 0) - b * v
+        row = {c: v for c, v in row.items() if v}
 
 
 def simple_character(module):

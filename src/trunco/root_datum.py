@@ -200,8 +200,10 @@ class RootDatum:
 
     `build_root_datum` and `sub_datum` return the one interned datum of a
     Cartan matrix, which owns the tables the matrix determines: reflection
-    groups (one per ordered simple system) and Kostant partitions.  A datum
-    built by `RootDatum(cartan)` is not interned.
+    groups (one per ordered simple system), Kostant partitions, and the
+    per-block work of the engine and the KL layer (twisting words, block
+    plans, block descriptors).  A datum built by `RootDatum(cartan)` is not
+    interned and shares none of these.
     """
 
     _interned = {}
@@ -224,6 +226,11 @@ class RootDatum:
         self._inverse_den = den
         self.rho = Weight((1,) * self.rank)
         self._groups = {}
+        # filled by the engine and the KL layer: twisting words by top
+        # component, block plans by tail, block descriptors by lambda_0
+        self._twists = {}
+        self._plans = {}
+        self._descriptors = {}
 
     # -- construction -------------------------------------------------
 

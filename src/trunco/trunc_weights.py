@@ -120,18 +120,23 @@ def _check_chain_condition(datum, word, mu):
         partial = datum.reflect_weight(datum.simple_root(i), partial)
 
 
+def shifted_dot(datum, word, lam0, n):
+    """Component zero of the level-n shifted dot action of a Weyl group
+    word: w(lambda_0 + (n+1) rho) - (n+1) rho.
+
+    The shift coefficient counts the current degrees 0..n, so the level-zero
+    case is the classical dot action.
+    """
+    shift = (n + 1) * datum.rho
+    return datum.weyl_group().act_word(word, lam0 + shift) - shift
+
+
 def n_dot(datum, word, lam):
     """The shifted dot action of a Weyl group word on a truncated weight of
-    level n.
-
-    Component zero transforms by w(lambda_0 + (n+1) rho) - (n+1) rho, the
-    others by the plain action.  The shift coefficient counts the current
-    degrees 0..n, so the level-zero case is the classical dot action.
-    """
+    level n: `shifted_dot` on component zero, the plain action on the
+    others."""
     n = lam.level
-    shift = (n + 1) * datum.rho
     act = datum.weyl_group().act_word
-    comps = [act(word, lam[0] + shift) - shift]
+    comps = [shifted_dot(datum, word, lam[0], n)]
     comps.extend(act(word, lam[i]) for i in range(1, n + 1))
     return TruncatedWeight(comps)
-

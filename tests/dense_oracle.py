@@ -6,9 +6,12 @@ one level up with the raising generator's matrix, and each weight space is
 reduced by `linalg.row_echelon`. `invariants_character` stacks the dense
 generator matrices and takes their rank the same way. The sparse integer
 eliminations in `trunco.oracle` must give the same characters.
+`eliminate` is the sparse elimination step as first written, building a
+new row at each combination; the in-place step must give the same basis.
 """
 
 from fractions import Fraction
+from math import gcd
 
 from trunco import linalg
 from trunco.characters import FormalCharacter, height
@@ -69,3 +72,21 @@ def invariants_character(module, levi_indices):
                 rows.extend(mat)
         table[beta] = dim - _rank(rows)
     return FormalCharacter(base=module.lam[0], depth=module.depth, table=table)
+
+
+def eliminate(basis, row):
+    """Add an integer row {col: value} to the span of basis {pivot: row}."""
+    while True:
+        row = {c: v for c, v in row.items() if v}
+        if not row:
+            return
+        g = gcd(*row.values())
+        row = {c: v // g for c, v in row.items()}
+        pivot = min(row)
+        other = basis.get(pivot)
+        if other is None:
+            basis[pivot] = row
+            return
+        a, b = other[pivot], row[pivot]
+        row = {c: a * row.get(c, 0) - b * other.get(c, 0)
+               for c in row.keys() | other.keys()}

@@ -1,0 +1,69 @@
+"""The engine's level reduction done afresh for every query, used only by
+tests as the reference for `engine._reduce_level` and its block plans.
+
+Each query searches its own twisting word, twists lambda and nu by `n_dot`,
+and finds the Levi offset from the two twisted weights; nothing is kept
+between queries.  Level zero is the engine's base case.
+"""
+
+import itertools
+
+from trunco import engine
+from trunco.trunc_weights import (TruncatedWeight, find_twisting_word, n_dot,
+                                  same_block)
+
+
+def multiplicity(datum, lam, nu, trace):
+    """(value, trace node or None) of [M_lam : L_nu]."""
+    n = lam.level
+    if not same_block(lam, nu):
+        value, node = 0, engine._zero_trace("different blocks")
+    elif datum.dominance_offset(nu[0], lam[0]) is None:
+        value, node = 0, engine._zero_trace("nu_0 not below lambda_0")
+    elif n == 0:
+        value, node = engine._base_case(datum, lam[0], nu[0], trace)
+    else:
+        value, node = _reduce_level(datum, lam, nu, trace)
+    return value, (node if trace else None)
+
+
+def _reduce_level(datum, lam, nu, trace):
+    n = lam.level
+    word, levi = find_twisting_word(datum, lam[n])
+    lam2 = n_dot(datum, word, lam)
+    nu2 = n_dot(datum, word, nu)
+    delta = datum.dominance_offset(nu2[0], lam2[0], levi)
+    node = engine.MultiplicityTrace("reduce", 0, {
+        "n": n,
+        "twisting_word": list(word),
+        "levi": list(levi),
+        "lambda_twisted": str(lam2),
+        "nu_twisted": str(nu2),
+        "contributions": [],
+    }) if trace else None
+    if delta is None:
+        if trace:
+            node.details["reason"] = "weights not linked through the Levi"
+        return 0, node
+    sub = datum.sub_datum(levi)
+    idx = sorted(levi)
+    lam_r = lam2.truncate(n - 1).restrict(idx)
+    nu_r = nu2.truncate(n - 1).restrict(idx)
+    bounds = [delta[j] for j in idx]
+    pfun = sub.partitions
+    total = 0
+    for alpha in itertools.product(*(range(b + 1) for b in bounds)):
+        count = pfun.count(alpha)
+        if count == 0:
+            continue
+        shift = sub.root_weight(alpha)
+        child_lam = TruncatedWeight((lam_r[0] - shift,) + lam_r.tail())
+        child_value, child_node = multiplicity(sub, child_lam, nu_r, trace)
+        total += count * child_value
+        if trace:
+            node.details["contributions"].append(
+                {"alpha": list(alpha), "partitions": count, "child": child_value})
+            node.children.append(child_node)
+    if trace:
+        node.value = total
+    return total, node

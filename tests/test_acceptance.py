@@ -79,7 +79,10 @@ def sweep_results():
     checked = 0
     for type_str, n, tails, coords in SWEEP_CASES:
         datum = build_root_datum(type_str)
-        lam0s = [Weight(c) for c in coords]
+        # lowest lambda_0 first: a weight's simple character is then built
+        # at the full depth before a higher block asks for it shallower
+        lam0s = sorted((Weight(c) for c in coords),
+                       key=lambda w: sum(datum.root_coords(w)))
         for tail in tails:
             for lam0 in lam0s:
                 lam = TruncatedWeight((lam0,) + tuple(Weight(t) for t in tail))

@@ -2,20 +2,25 @@
 
 `build_root_datum` and `RootDatum.sub_datum` hand out one interned datum
 per Cartan matrix, so a Levi reached from any parent is the same object,
-with the same reflection groups and Kostant partition function.  The few
-caches that live outside a datum are keyed by its Cartan matrix, never by
-id(): a cache keyed by id(datum) returns another datum's entry once that
-datum is freed and a new one is allocated at the same address.  The last
-two tests build and drop uninterned data (`RootDatum(cartan)`) of different
-types in a loop, so such a cache would answer with a stale entry.
+with the same reflection groups and Kostant partition function.  The
+per-block work of the engine and the KL layer (twisting words, block plans,
+block descriptors) is kept on the datum too, so an uninterned
+`RootDatum(cartan)` builds its own and never sees the interned datum's.
+The few caches that live outside a datum are keyed by its Cartan matrix,
+never by id(): a cache keyed by id(datum) returns another datum's entry
+once that datum is freed and a new one is allocated at the same address.
+The last two tests build and drop uninterned data (`RootDatum(cartan)`) of
+different types in a loop, so such a cache would answer with a stale entry.
 """
 
 from fractions import Fraction
 
-from trunco import kl
+from trunco import engine, kl
 from trunco.characters import PartitionCache, kostant_partition
 from trunco.oracle import ChevalleyBasis
+from trunco.engine import MultiplicityQuery
 from trunco.root_datum import CartanType, RootDatum, Weight, build_root_datum
+from trunco.trunc_weights import TruncatedWeight
 
 TYPES = ("A1", "A2", "B2", "G2", "C2", "A1xA1", "A3", "B3")
 
@@ -48,6 +53,31 @@ def test_integral_group_is_shared_across_parents():
     for parent in ("A3", "B3", "A4"):
         levi = build_root_datum(parent).sub_datum((0, 1))
         assert kl.integral_weyl_group(levi, lam0) is group, parent
+
+
+def test_plans_and_descriptors_are_per_datum():
+    a2 = build_root_datum("A2")
+    lam = TruncatedWeight([Weight((1, 0)), Weight((1, -1))])
+    nu = TruncatedWeight([Weight((-1, -2)), Weight((1, -1))])
+    engine.multiplicity(MultiplicityQuery(a2, lam, nu))
+    lam0 = Weight((0, 0))
+    shared = kl.block_descriptor(a2, lam0)
+    assert kl.block_descriptor(a2, lam0) is shared
+    plan = engine._block_plan(a2, lam)
+    assert a2._plans[lam.tail()] is plan
+    assert a2._twists[lam[1]] == (plan.word, plan.levi)
+    fresh = _fresh("A2")
+    assert not (fresh._twists or fresh._plans or fresh._descriptors)
+    own = engine._block_plan(fresh, lam)
+    assert own is not plan
+    assert (own.word, own.levi, own.tail, own.sub_tail) == \
+        (plan.word, plan.levi, plan.tail, plan.sub_tail)
+    desc = kl.block_descriptor(fresh, lam0)
+    assert desc is not shared
+    assert desc.group.datum is fresh and shared.group.datum is a2
+    assert (desc.antidominant, desc.top.word) == \
+        (shared.antidominant, shared.top.word)
+    assert set(fresh._descriptors) == {lam0}
 
 
 def test_kostant_partition_of_dropped_data():

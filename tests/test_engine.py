@@ -1,13 +1,17 @@
+import collections
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from trunco import oracle
+from trunco import engine, oracle
 from trunco.characters import cone
 from trunco.engine import MultiplicityQuery, multiplicity, multiplicity_table
-from trunco.root_datum import Weight, build_root_datum
+from trunco.root_datum import RootDatum, Weight, build_root_datum
 from trunco.trunc_weights import TruncatedWeight, find_twisting_word, n_dot
+
+import engine_reference
 
 
 def _tw(*coords):
@@ -214,3 +218,76 @@ def test_equal_weights_answer_without_listing_w(type_str):
     lam = TruncatedWeight([zero, zero])
     assert _value(datum, lam, lam) == 1
     assert datum.weyl_group()._elements is None
+
+
+def _cold():
+    """Empty the value memo and every interned datum's per-block tables."""
+    engine._VALUE_MEMO.clear()
+    for datum in RootDatum._interned.values():
+        datum._twists.clear()
+        datum._plans.clear()
+        datum._descriptors.clear()
+
+
+def _plan_blocks(type_str, seed):
+    """Seeded blocks at levels 1 and 2 with an integral, a singular (a -1
+    entry makes lambda_0 + rho singular) and a non-integral lambda_0."""
+    datum = build_root_datum(type_str)
+    rng = random.Random(seed)
+    blocks = []
+    for level in (1, 2):
+        for kind in ("integral", "singular", "non-integral"):
+            lam0 = [rng.randint(-2, 2) for _ in range(datum.rank)]
+            if kind == "singular":
+                lam0[rng.randrange(datum.rank)] = -1
+            elif kind == "non-integral":
+                lam0[rng.randrange(datum.rank)] = Fraction(rng.choice((1, 2)), 3)
+            tail = [tuple(rng.randint(-1, 2) for _ in range(datum.rank))
+                    for _ in range(level)]
+            blocks.append(_tw(lam0, *tail))
+    return datum, blocks
+
+
+@pytest.mark.parametrize("type_str, depth", [
+    ("A2", 3), ("B2", 3), ("G2", 3), ("A1xA1", 3), ("A3", 2), ("B3", 2)])
+def test_block_plans_match_the_per_query_reduction(type_str, depth):
+    datum, blocks = _plan_blocks(type_str, depth + len(type_str))
+    for lam in blocks:
+        nus = [TruncatedWeight((lam[0] - datum.root_weight(beta),) + lam.tail())
+               for beta in cone(datum.rank, depth)]
+        # cold memos on each path, then warm ones
+        for cold, trace in ((True, False), (True, True),
+                            (False, False), (False, True)):
+            if cold:
+                _cold()
+            for nu in nus:
+                got, got_node = engine._multiplicity(datum, lam, nu, trace)
+                want, want_node = engine_reference.multiplicity(
+                    datum, lam, nu, trace)
+                assert got == want, (type_str, str(lam), str(nu), cold, trace)
+                if trace:
+                    assert got_node.to_dict() == want_node.to_dict(), \
+                        (type_str, str(lam), str(nu), cold)
+
+
+def test_one_twisting_search_per_top_component(monkeypatch):
+    calls = collections.Counter()
+    search = engine.find_twisting_word
+
+    def counted(datum, mu):
+        calls[datum.key, mu] += 1
+        return search(datum, mu)
+
+    monkeypatch.setattr(engine, "find_twisting_word", counted)
+    _cold()
+    a2 = build_root_datum("A2")
+    # three level-2 tails share the top (1,-1); the Levi tails repeat too
+    lams = [_tw((1, 0), (0, 0), (1, -1)), _tw((0, 1), (1, 0), (1, -1)),
+            _tw((2, 0), (1, 0), (1, -1)), _tw((1, 1), (1, -1)),
+            _tw((0, 0), (0, 1))]
+    for _ in range(2):
+        for lam in lams:
+            multiplicity_table(a2, lam, 3)
+    assert calls[a2.key, Weight((1, -1))] == 1
+    assert len(calls) > len(lams) - 2
+    assert set(calls.values()) == {1}

@@ -1,9 +1,12 @@
+import gc
 import itertools
 import random
+import weakref
 
 import pytest
 from fractions import Fraction
 
+from trunco import oracle
 from trunco.characters import cone, verma_character
 from trunco.oracle import (ChevalleyBasis, TruncatedModule, build_verma,
                            invariants_character, oracle_multiplicity,
@@ -218,6 +221,55 @@ def test_sparse_eliminations_match_dense_reference(type_str, comps, depth):
     for levi in ((), (0,)):
         assert invariants_character(module, levi).table == \
             dense_oracle.invariants_character(module, levi).table
+
+
+def test_in_place_elimination_matches_the_first_form(monkeypatch):
+    # the rows the B2 module at (1,1),(1,-1), depth 6, eliminates, one list
+    # per basis, then seeded random rows with repeats and multiples
+    runs = []
+    eliminate = oracle._eliminate
+
+    def record(basis, row):
+        if not runs or runs[-1][0] is not basis:
+            runs.append((basis, []))
+        runs[-1][1].append(dict(row))
+        eliminate(basis, row)
+
+    monkeypatch.setattr(oracle, "_eliminate", record)
+    simple_character(TruncatedModule(build_root_datum("B2"),
+                                     _tw((1, 1), (1, -1)), 6))
+    monkeypatch.undo()
+    batches = [rows for _, rows in runs]
+    assert sum(map(len, batches)) > 500
+    rng = random.Random(12)
+    for _ in range(200):
+        rows = []
+        for _ in range(rng.randint(1, 12)):
+            if rows and rng.random() < 0.2:
+                k = rng.choice((-3, -1, 2, 6))
+                rows.append({c: k * v for c, v in rng.choice(rows).items()})
+            else:
+                rows.append({c: rng.randint(-4, 4)
+                             for c in rng.sample(range(8), rng.randint(0, 6))})
+        batches.append(rows)
+    for rows in batches:
+        new, old = {}, {}
+        for row in rows:
+            oracle._eliminate(new, dict(row))
+            dense_oracle.eliminate(old, dict(row))
+        assert new == old, rows
+
+
+def test_dropped_module_is_freed_without_the_cycle_collector():
+    gc.disable()
+    try:
+        module = TruncatedModule(build_root_datum("A2"), _tw((1, 0), (0, 0)), 3)
+        ref = weakref.ref(module)
+        simple_character(module)
+        del module
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_invariants_full_levi_is_whole_module():
