@@ -12,6 +12,7 @@ and a query twists only lambda_0 and its offset to nu_0.
 
 from __future__ import annotations
 
+import collections
 import itertools
 from dataclasses import dataclass, field
 
@@ -114,15 +115,11 @@ def _base_case(datum, lam0, nu0, trace):
     return value, MultiplicityTrace("base", value, details)
 
 
-@dataclass(frozen=True)
-class _BlockPlan:
-    """The part of a level reduction that depends only on the block."""
-
-    word: tuple          # twisting word w
-    levi: tuple          # J, ascending: the twisted top component's Levi
-    tail: tuple          # w(lambda_1), ..., w(lambda_n)
-    sub: object          # the Levi's datum
-    sub_tail: tuple      # w(lambda_1), ..., w(lambda_(n-1)) restricted to J
+# The part of a level reduction that depends only on the block: the
+# twisting word w, J ascending (the Levi of the twisted top component), the
+# twisted tail w(lambda_1), ..., w(lambda_n), the Levi's datum, and
+# w(lambda_1), ..., w(lambda_(n-1)) restricted to J.
+_BlockPlan = collections.namedtuple("_BlockPlan", "word levi tail sub sub_tail")
 
 
 def _block_plan(datum, lam):

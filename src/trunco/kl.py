@@ -190,7 +190,7 @@ def integral_weyl_group(datum, lam0):
     return datum.reflection_group(integral_subsystem(datum, lam0)[1])
 
 
-@dataclass(frozen=True)
+@dataclass
 class BlockDescriptor:
     """Combinatorial data of the level-zero block through lam0."""
 
