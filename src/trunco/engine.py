@@ -12,7 +12,6 @@ and a query twists only lambda_0 and its offset to nu_0.
 
 from __future__ import annotations
 
-import collections
 import itertools
 from dataclasses import dataclass, field
 
@@ -115,16 +114,15 @@ def _base_case(datum, lam0, nu0, trace):
     return value, MultiplicityTrace("base", value, details)
 
 
-# The part of a level reduction that depends only on the block: the
-# twisting word w, J ascending (the Levi of the twisted top component), the
-# twisted tail w(lambda_1), ..., w(lambda_n), the Levi's datum, and
-# w(lambda_1), ..., w(lambda_(n-1)) restricted to J.
-_BlockPlan = collections.namedtuple("_BlockPlan", "word levi tail sub sub_tail")
-
-
 def _block_plan(datum, lam):
-    """The datum's plan for the block of lam, built on first use from one
-    twisting search per top component."""
+    """The part of a level reduction that depends only on the block of lam:
+    (twisting word w, J ascending (the Levi of the twisted top component),
+    twisted tail w(lambda_1), ..., w(lambda_n), the Levi's datum,
+    w(lambda_1), ..., w(lambda_(n-1)) restricted to J).
+
+    The datum keeps one plan per tail, built on first use from one twisting
+    search per top component.
+    """
     tail = lam.tail()
     plan = datum._plans.get(tail)
     if plan is None:
@@ -133,7 +131,7 @@ def _block_plan(datum, lam):
             twist = datum._twists[tail[-1]] = find_twisting_word(datum, tail[-1])
         word, levi = twist
         twisted = n_dot(datum, word, lam)
-        plan = datum._plans[tail] = _BlockPlan(
+        plan = datum._plans[tail] = (
             word, levi, twisted.tail(), datum.sub_datum(levi),
             twisted.truncate(lam.level - 1).restrict(levi).tail())
     return plan
@@ -141,27 +139,27 @@ def _block_plan(datum, lam):
 
 def _reduce_level(datum, lam, nu, beta, trace):
     n = lam.level
-    plan = _block_plan(datum, lam)
-    lam2_0 = shifted_dot(datum, plan.word, lam[0], n)
+    word, levi, tail, sub, sub_tail = _block_plan(datum, lam)
+    lam2_0 = shifted_dot(datum, word, lam[0], n)
     # the shifts cancel: lam2_0 - nu2_0 = w(lam_0 - nu_0) = w(beta)
-    delta = datum.weyl_group().act_word_root(plan.word, beta)
+    delta = datum.weyl_group().act_word_root(word, beta)
     node = MultiplicityTrace("reduce", 0, {
         "n": n,
-        "twisting_word": list(plan.word),
-        "levi": list(plan.levi),
-        "lambda_twisted": str(TruncatedWeight((lam2_0,) + plan.tail)),
+        "twisting_word": list(word),
+        "levi": list(levi),
+        "lambda_twisted": str(TruncatedWeight((lam2_0,) + tail)),
         "nu_twisted": str(TruncatedWeight(
-            (lam2_0 - datum.root_weight(delta),) + plan.tail)),
+            (lam2_0 - datum.root_weight(delta),) + tail)),
         "contributions": [],
     }) if trace else None
-    bounds = [delta[j] for j in plan.levi]
+    # linked through the Levi: w(beta) is a Z>=0 combination of J
+    bounds = [delta[j] for j in levi]
     if any(c < 0 for c in delta) or sum(bounds) != sum(delta):
         if trace:
             node.details["reason"] = "weights not linked through the Levi"
         return 0, node
-    sub = plan.sub
-    lam_r0 = Weight(tuple(lam2_0.coords[j] for j in plan.levi))
-    nu_r = TruncatedWeight((lam_r0 - sub.root_weight(bounds),) + plan.sub_tail)
+    lam_r0 = Weight(tuple(lam2_0.coords[j] for j in levi))
+    nu_r = TruncatedWeight((lam_r0 - sub.root_weight(bounds),) + sub_tail)
     pfun = sub.partitions
     total = 0
     for alpha in itertools.product(*(range(b + 1) for b in bounds)):
@@ -169,7 +167,7 @@ def _reduce_level(datum, lam, nu, beta, trace):
         if count == 0:
             continue
         child_lam = TruncatedWeight(
-            (lam_r0 - sub.root_weight(alpha),) + plan.sub_tail)
+            (lam_r0 - sub.root_weight(alpha),) + sub_tail)
         child_value, child_node = _multiplicity(sub, child_lam, nu_r, trace)
         total += count * child_value
         if trace:

@@ -65,13 +65,11 @@ def test_plans_and_descriptors_are_per_datum():
     assert kl.block_descriptor(a2, lam0) is shared
     plan = engine._block_plan(a2, lam)
     assert a2._plans[lam.tail()] is plan
-    assert a2._twists[lam[1]] == (plan.word, plan.levi)
+    assert a2._twists[lam[1]] == plan[:2]
     fresh = _fresh("A2")
     assert not (fresh._twists or fresh._plans or fresh._descriptors)
     own = engine._block_plan(fresh, lam)
-    assert own is not plan
-    assert (own.word, own.levi, own.tail, own.sub_tail) == \
-        (plan.word, plan.levi, plan.tail, plan.sub_tail)
+    assert own is not plan and own == plan
     desc = kl.block_descriptor(fresh, lam0)
     assert desc is not shared
     assert desc.group.datum is fresh and shared.group.datum is a2
