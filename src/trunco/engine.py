@@ -6,8 +6,9 @@ standard Levi, apply the n-shifted dot action, drop the (now trivial) top
 component, restrict to the Levi, and convolve with the Levi's Kostant
 partition function.  Level zero is classical category O, answered by
 Kazhdan-Lusztig polynomials at q = 1.  The twisting word, the Levi and the
-twisted tail depend only on the block, so the datum keeps one plan per tail
-and a query twists only lambda_0 and its offset to nu_0.
+twisted tail depend only on the block, so the datum keeps one plan per tail.
+A query checks nu against lambda once; the recursion then carries the offset
+beta = lambda_0 - nu_0 (Z>=0, in simple roots) and twists only lambda_0 and beta.
 """
 
 from __future__ import annotations
@@ -62,45 +63,45 @@ class MultiplicityTrace:
 _VALUE_MEMO = {}
 
 
-def _memo_key(datum, lam, nu):
-    return (datum.key, lam, nu)
-
-
 def multiplicity(query, trace=False):
     """Return (value, trace) for a MultiplicityQuery.
 
     With trace=False the second entry is None.
     """
-    return _multiplicity(query.datum, query.lam, query.nu, trace)
+    datum, lam, nu = query.datum, query.lam, query.nu
+    if not same_block(lam, nu):
+        reason = "different blocks"
+    elif (beta := datum.dominance_offset(nu[0], lam[0])) is None:
+        reason = "nu_0 not below lambda_0"
+    else:
+        return _multiplicity(datum, lam, beta, trace)
+    return 0, (_zero_trace(reason) if trace else None)
 
 
-def _multiplicity(datum, lam, nu, trace):
-    key = _memo_key(datum, lam, nu)
+def _multiplicity(datum, lam, beta, trace):
+    """[M_lam : L_nu] with nu = (lambda_0 - beta, lambda_1, ..., lambda_n)."""
+    key = (datum.key, lam, beta)
     if not trace and key in _VALUE_MEMO:
         return _VALUE_MEMO[key], None
-    n = lam.level
-    if not same_block(lam, nu):
-        value, node = 0, _zero_trace("different blocks")
-    elif (beta := datum.dominance_offset(nu[0], lam[0])) is None:
-        value, node = 0, _zero_trace("nu_0 not below lambda_0")
-    elif n == 0:
-        value, node = _base_case(datum, lam[0], nu[0], trace)
+    if lam.level == 0:
+        value, node = _base_case(datum, lam[0], beta, trace)
     else:
-        value, node = _reduce_level(datum, lam, nu, beta, trace)
+        value, node = _reduce_level(datum, lam, beta, trace)
     _VALUE_MEMO[key] = value
-    return value, (node if trace else None)
+    return value, node
 
 
 def _zero_trace(reason):
     return MultiplicityTrace("zero", 0, {"reason": reason})
 
 
-def _base_case(datum, lam0, nu0, trace):
+def _base_case(datum, lam0, beta, trace):
+    nu0 = lam0 - datum.root_weight(beta)
     value = kl.base_multiplicity(datum, lam0, nu0)
     if not trace:
         return value, None
     details = {"lambda_0": str(lam0), "nu_0": str(nu0)}
-    if lam0 != nu0 and datum.dominance_offset(nu0, lam0) is not None:
+    if any(beta):
         desc = kl.block_descriptor(datum, lam0)
         y = kl._longest_taking(datum, desc, nu0)
         details.update({
@@ -137,7 +138,7 @@ def _block_plan(datum, lam):
     return plan
 
 
-def _reduce_level(datum, lam, nu, beta, trace):
+def _reduce_level(datum, lam, beta, trace):
     n = lam.level
     word, levi, tail, sub, sub_tail = _block_plan(datum, lam)
     lam2_0 = shifted_dot(datum, word, lam[0], n)
@@ -159,7 +160,6 @@ def _reduce_level(datum, lam, nu, beta, trace):
             node.details["reason"] = "weights not linked through the Levi"
         return 0, node
     lam_r0 = Weight(tuple(lam2_0.coords[j] for j in levi))
-    nu_r = TruncatedWeight((lam_r0 - sub.root_weight(bounds),) + sub_tail)
     pfun = sub.partitions
     total = 0
     for alpha in itertools.product(*(range(b + 1) for b in bounds)):
@@ -168,7 +168,8 @@ def _reduce_level(datum, lam, nu, beta, trace):
             continue
         child_lam = TruncatedWeight(
             (lam_r0 - sub.root_weight(alpha),) + sub_tail)
-        child_value, child_node = _multiplicity(sub, child_lam, nu_r, trace)
+        child_value, child_node = _multiplicity(
+            sub, child_lam, tuple(b - a for b, a in zip(bounds, alpha)), trace)
         total += count * child_value
         if trace:
             node.details["contributions"].append(
@@ -185,9 +186,7 @@ def multiplicity_table(datum, lam, depth):
     _check_rank(datum, lam)
     out = {}
     for beta in cone(datum.rank, depth):
-        nu0 = lam[0] - datum.root_weight(beta)
-        nu = TruncatedWeight((nu0,) + lam.tail())
-        value, _ = _multiplicity(datum, lam, nu, False)
+        value, _ = _multiplicity(datum, lam, beta, False)
         if value:
-            out[nu0] = value
+            out[lam[0] - datum.root_weight(beta)] = value
     return out

@@ -196,7 +196,6 @@ class BlockDescriptor:
 
     group: ReflectionGroup          # integral Weyl group
     antidominant: Weight            # antidominant dot-orbit representative
-    stabilizer_simples: list        # indices of simple reflections fixing it
     dominant: Weight                # dominant point of the orbit of lam0 + rho
     top: WeylElement                # longest w with w . antidominant == lam0
 
@@ -221,11 +220,8 @@ def block_descriptor(datum, lam0):
         group = integral_weyl_group(datum, lam0)
         dominant, y = _to_dominant(datum, group, lam0 + datum.rho)
         w0 = group.longest_element()
-        anti = w0.act(dominant)
-        stab = [i for i, r in enumerate(group.simples)
-                if datum.pairing(anti, r) == 0]
         desc = datum._descriptors[lam0] = BlockDescriptor(
-            group, anti - datum.rho, stab, dominant, group.mult(y, w0))
+            group, w0.act(dominant) - datum.rho, dominant, group.mult(y, w0))
     return desc
 
 

@@ -404,12 +404,6 @@ class WeylElement:
     def act(self, weight):
         return self.group.act_word(self.word, weight)
 
-    def act_root(self, root):
-        return self.group.act_word_root(self.word, root)
-
-    def inverse(self):
-        return self.group.from_word(tuple(reversed(self.word)))
-
 
 class ReflectionGroup:
     """Finite reflection group generated by reflections in chosen roots.
@@ -508,10 +502,6 @@ class ReflectionGroup:
         self._materialize()
         return len(self._elements)
 
-    def identity(self):
-        self._materialize()
-        return self._elements[0]
-
     def _left_multiply(self, word, w):
         for i in reversed(word):
             w = self.lmul[i][w]
@@ -521,9 +511,6 @@ class ReflectionGroup:
         self._materialize()
         return self._left_multiply(word, 0)
 
-    def generator(self, i):
-        return self.from_word((i,))
-
     def mult(self, x, y):
         return self._left_multiply(x.word, y.index)
 
@@ -531,14 +518,7 @@ class ReflectionGroup:
         self._materialize()
         return self._elements[-1]  # the only element of the last length
 
-    # -- descent and Bruhat order -------------------------------------
-
-    def left_descent(self, w):
-        """Some i with length(s_i w) < length(w), or None for the identity."""
-        return w.word[0] if w.word else None
-
-    def has_left_descent(self, w, i):
-        return self.length[self.lmul[i][w.index]] < w.length
+    # -- Bruhat order -------------------------------------------------
 
     def bruhat_leq(self, x, y):
         """Bruhat order: x lies in the interval [e, y]."""

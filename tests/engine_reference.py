@@ -18,10 +18,10 @@ def multiplicity(datum, lam, nu, trace):
     n = lam.level
     if not same_block(lam, nu):
         value, node = 0, engine._zero_trace("different blocks")
-    elif datum.dominance_offset(nu[0], lam[0]) is None:
+    elif (beta := datum.dominance_offset(nu[0], lam[0])) is None:
         value, node = 0, engine._zero_trace("nu_0 not below lambda_0")
     elif n == 0:
-        value, node = engine._base_case(datum, lam[0], nu[0], trace)
+        value, node = engine._base_case(datum, lam[0], beta, trace)
     else:
         value, node = _reduce_level(datum, lam, nu, trace)
     return value, (node if trace else None)

@@ -13,6 +13,8 @@ vanishing of R rather than taken from the library.
 
 from fractions import Fraction
 
+from weyl_ops import generator, has_left_descent, left_descent
+
 
 def _trim(coeffs):
     coeffs = list(coeffs)
@@ -56,11 +58,11 @@ class KLSolver:
         if key in self._r_memo:
             return self._r_memo[key]
         g = self.group
-        s = g.left_descent(y)
-        gen = g.generator(s)
+        s = left_descent(y)
+        gen = generator(g, s)
         sy = g.mult(gen, y)
         sx = g.mult(gen, x)
-        if g.has_left_descent(x, s):
+        if has_left_descent(g, x, s):
             out = self._r(sx, sy)
         else:
             out = _add(_mul((-1, 1), self._r(x, sy)),

@@ -1,5 +1,6 @@
 import collections
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -261,7 +262,8 @@ def test_block_plans_match_the_per_query_reduction(type_str, depth):
             if cold:
                 _cold()
             for nu in nus:
-                got, got_node = engine._multiplicity(datum, lam, nu, trace)
+                got, got_node = multiplicity(
+                    MultiplicityQuery(datum, lam, nu), trace)
                 want, want_node = engine_reference.multiplicity(
                     datum, lam, nu, trace)
                 assert got == want, (type_str, str(lam), str(nu), cold, trace)
@@ -291,3 +293,30 @@ def test_one_twisting_search_per_top_component(monkeypatch):
     assert calls[a2.key, Weight((1, -1))] == 1
     assert len(calls) > len(lams) - 2
     assert set(calls.values()) == {1}
+
+
+def test_one_offset_check_per_query(monkeypatch):
+    # the recursion carries beta = lambda_0 - nu_0; only the public query
+    # checks nu against lambda, and a table passes each beta straight in
+    calls = collections.Counter()
+    check = RootDatum.dominance_offset
+
+    def counted(self, lower, upper, indices=None):
+        calls[sys._getframe(1).f_code.co_filename == engine.__file__] += 1
+        return check(self, lower, upper, indices)
+
+    monkeypatch.setattr(RootDatum, "dominance_offset", counted)
+    _cold()
+    a2 = build_root_datum("A2")
+    lam = _tw((1, 0), (0, 0), (1, -1))
+    nus = [TruncatedWeight((lam[0] - a2.root_weight(beta),) + lam.tail())
+           for beta in cone(a2.rank, 3)]
+    values = [_value(a2, lam, nu) for nu in nus]
+    assert calls[True] == len(nus)
+    # the children below the queries were solved without a check
+    assert len(engine._VALUE_MEMO) > len(nus) and any(values[1:])
+    _cold()
+    calls.clear()
+    table = multiplicity_table(a2, lam, 3)
+    assert calls[True] == 0
+    assert table == {nu[0]: v for nu, v in zip(nus, values) if v}

@@ -52,7 +52,7 @@ def test_spellings_of_one_weight_agree():
     value, _ = multiplicity(MultiplicityQuery(a2, lams[0], nu))
     size = len(engine._VALUE_MEMO)
     for lam in lams:
-        key = engine._memo_key(a2, lam, nu)
+        key = (a2.key, lam, (1, 0))
         assert key in engine._VALUE_MEMO
         assert multiplicity(MultiplicityQuery(a2, lam, nu))[0] == value
     assert len(engine._VALUE_MEMO) == size

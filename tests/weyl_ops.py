@@ -1,0 +1,31 @@
+"""Reflection group operations that only the tests use.
+
+Each is read off an element's canonical word or the group's `lmul` and
+`length` tables, so the checks that call them still test those tables.
+"""
+
+
+def identity(group):
+    return group.from_word(())
+
+
+def generator(group, i):
+    return group.from_word((i,))
+
+
+def inverse(w):
+    return w.group.from_word(tuple(reversed(w.word)))
+
+
+def act_root(w, root):
+    """w applied to a root in root coordinates."""
+    return w.group.act_word_root(w.word, root)
+
+
+def left_descent(w):
+    """Some i with length(s_i w) < length(w), or None for the identity."""
+    return w.word[0] if w.word else None
+
+
+def has_left_descent(group, w, i):
+    return group.length[group.lmul[i][w.index]] < w.length
