@@ -7,14 +7,20 @@ cosets modulo the dot-action stabilizer,
     [M_{x.lambda-} : L_{y.lambda-}] = P_{y,x}(1).
 
 Non-integral highest weights are handled by passing to the subsystem of
-roots with integral pairing.
+roots with integral pairing.  Writing x = y w0 and y = y' w0 with y and y'
+shortest in their cosets, the value is P_{y' w0, y w0}(1) = Q_{y,y'}(1), the
+inverse KL polynomial, which the inversion formula reads off the short
+interval [y, y'] (see `_inverse_entry`); when the column of y w0 is the
+shorter end, it is read there.  Either way the work runs on the element ids
+of `ReflectionGroup`, named by their vectors w(rho), and never lists the
+group.  Listed elements (`kl_polynomial`) use the same ids and tables.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .root_datum import ReflectionGroup, Weight, WeylElement
+from .root_datum import ReflectionGroup, Weight
 
 
 @dataclass(frozen=True)
@@ -56,7 +62,7 @@ def _accumulate(acc, poly, shift, factor):
 
 
 def _column(group, y):
-    """{x index: P_{x,y}} over the Bruhat interval [e, y], for the index y.
+    """{x id: P_{x,y}} over the Bruhat interval [e, y], for the id y.
 
     With s a left descent of y, v = sy, and c = 1 when sx < x, else 0
     (Humphreys, Reflection Groups and Coxeter Groups, 7.11):
@@ -74,8 +80,8 @@ def _column(group, y):
     if y == 0:
         column = {0: (1,)}
     else:
-        # s[w] is the index of s w, for a left descent s of y
-        s = next(row for row in lmul if length[row[y]] < length[y])
+        # s[w] is the id of s w, for a left descent s of y
+        s = lmul[group._descent(y)]
         v = s[y]
         lower = _column(group, v)
         acc = {}
@@ -99,15 +105,14 @@ def _column(group, y):
             p = column[x] = _trim(coeffs)
             if x != y and len(p) - 1 > (length[y] - length[x] - 1) // 2:
                 raise RuntimeError("P_{x,y} breaks its degree bound at "
-                                   "indices %d, %d: %r" % (x, y, p))
+                                   "ids %d, %d: %r" % (x, y, p))
     group._kl_columns[y] = column
     return column
 
 
 def _inverse_entry(group, a, b):
     """The (a, b) entry of the inverse of A_{u,v} = (-1)^(l(u)+l(v)) P_{u,v}
-    on the Bruhat interval [a, b], for indices a and b; () when a is not
-    below b.
+    on the Bruhat interval [a, b], for ids a and b; () when a is not below b.
 
     By the Kazhdan-Lusztig inversion formula (Kazhdan and Lusztig,
     Representations of Coxeter groups and Hecke algebras, Invent. Math. 53
@@ -116,22 +121,25 @@ def _inverse_entry(group, a, b):
         sum over x <= z <= w of (-1)^(l(x)+l(z)) P_{x,z} P_{w0 w, w0 z}
             = delta_{x,w},
 
-    this entry is P_{w0 b, w0 a}.  Row a of the inverse is found by
-    back-substitution, R_v = -sum over a <= z < v of R_z A_{z,v}, which
+    this entry is P_{w0 b, w0 a} = Q_{a,b}.  Row a of the inverse is found
+    by back-substitution, R_v = -sum over a <= z < v of R_z A_{z,v}, which
     needs only the columns of elements no longer than b.
     """
     length = group.length
     lower = group._interval(b)          # [e, b]; it is short when b is
     if not lower >> a & 1:
         return ()
-    row = {a: (1,)}
+    between = []                        # [a, b] but a
     while lower:
         low = lower & -lower
         lower ^= low
         v = low.bit_length() - 1
-        # indices run in length order, so every z < v comes before v
-        if v == a or not group._interval(v) >> a & 1:
-            continue
+        if v != a and group._interval(v) >> a & 1:
+            between.append(v)
+    # every z < v comes before v
+    between.sort(key=length.__getitem__)
+    row = {a: (1,)}
+    for v in between:
         column = _column(group, v)
         # deg R_z + deg P_{z,v} <= (l(v) - l(a)) / 2 by the degree bounds
         acc = [0] * ((length[v] - length[a]) // 2 + 1)
@@ -192,24 +200,44 @@ def integral_weyl_group(datum, lam0):
 
 @dataclass
 class BlockDescriptor:
-    """Combinatorial data of the level-zero block through lam0."""
+    """The level-zero block through lam0, as the KL layer answers it.
+
+    `dominant` is the dominant point of the orbit of lam0 + rho under the
+    integral Weyl group `group`, and `y` the vector (see `ReflectionGroup`)
+    of the shortest y taking it to lam0 + rho.  The longest w with
+    w . antidominant == lam0 is then y w0.  `antidominant` and `top` give
+    the antidominant point and y w0 as a listed element, for the trace; they
+    list the group.
+    """
 
     group: ReflectionGroup          # integral Weyl group
-    antidominant: Weight            # antidominant dot-orbit representative
     dominant: Weight                # dominant point of the orbit of lam0 + rho
-    top: WeylElement                # longest w with w . antidominant == lam0
+    y: tuple                        # vector of the shortest y, y . dominant = lam0
+
+    @property
+    def antidominant(self):
+        w0 = self.group.longest_element()
+        return w0.act(self.dominant) - self.group.datum.rho
+
+    @property
+    def top(self):
+        group = self.group
+        group._materialize()
+        return group._elements[group._ids[tuple(-c for c in self.y)]]
 
 
 def _to_dominant(datum, group, mu):
-    """(dominant point of mu's orbit, shortest y taking it to mu), by descent."""
+    """(dominant point of mu's orbit, reduced word of the shortest y taking
+    it to mu), by descent."""
     word = []
     while True:
         for i, r in enumerate(group.simples):
             if datum.pairing(mu, r) < 0:
-                mu, word = datum.reflect_weight(r, mu), word + [i]
+                mu = datum.reflect_weight(r, mu)
+                word.append(i)
                 break
         else:
-            return mu, group.from_word(word)
+            return mu, word
 
 
 def block_descriptor(datum, lam0):
@@ -218,19 +246,20 @@ def block_descriptor(datum, lam0):
     desc = datum._descriptors.get(lam0)
     if desc is None:
         group = integral_weyl_group(datum, lam0)
-        dominant, y = _to_dominant(datum, group, lam0 + datum.rho)
-        w0 = group.longest_element()
+        dominant, word = _to_dominant(datum, group, lam0 + datum.rho)
         desc = datum._descriptors[lam0] = BlockDescriptor(
-            group, w0.act(dominant) - datum.rho, dominant, group.mult(y, w0))
+            group, dominant, group._vecs[group._apply(word, 0)])
     return desc
 
 
 def _longest_taking(datum, desc, target):
-    """Longest w with w . antidominant == target: y w0, y shortest in y W_J."""
-    point, y = _to_dominant(datum, desc.group, target + datum.rho)
+    """Longest w with w . antidominant == target, as a listed element:
+    y w0, y shortest in y W_J."""
+    point, word = _to_dominant(datum, desc.group, target + datum.rho)
     if point != desc.dominant:
         return None
-    return desc.group.mult(y, desc.group.longest_element())
+    group = desc.group
+    return group.mult(group.from_word(word), group.longest_element())
 
 
 def base_multiplicity(datum, lam0, nu0):
@@ -240,7 +269,16 @@ def base_multiplicity(datum, lam0, nu0):
     if datum.dominance_offset(nu0, lam0) is None:
         return 0
     desc = block_descriptor(datum, lam0)
-    y = _longest_taking(datum, desc, nu0)
-    if y is None:
+    group = desc.group
+    point, word = _to_dominant(datum, group, nu0 + datum.rho)
+    if point != desc.dominant:
         return 0
-    return int(kl_polynomial(desc.group, y, desc.top)(1))
+    y, y2 = group._ids[desc.y], group._apply(word, 0)
+    # P_{y2 w0, y w0} = Q_{y,y2}: from [y, y2], or from the column of y w0
+    # when that end is shorter
+    length, top = group.length, group.longest_length
+    if length[y2] < top - length[y]:
+        return sum(_inverse_entry(group, y, y2))
+    x = group._intern(tuple(-c for c in desc.y), top - length[y])
+    x2 = group._intern(tuple(-c for c in group._vecs[y2]), top - length[y2])
+    return sum(_column(group, x).get(x2, ()))

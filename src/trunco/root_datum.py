@@ -120,10 +120,11 @@ def _exact(value):
     Accepts ints, Fractions and strings such as "1/2"; a float is refused,
     since its binary value is rarely the number that was meant.
     """
-    if isinstance(value, float):
-        raise ValueError("inexact coordinate %r: use an int, a Fraction or "
-                         "a string such as \"1/2\"" % (value,))
-    value = Fraction(value)
+    if type(value) is not Fraction:
+        if isinstance(value, float):
+            raise ValueError("inexact coordinate %r: use an int, a Fraction "
+                             "or a string such as \"1/2\"" % (value,))
+        value = Fraction(value)
     return value.numerator if value.denominator == 1 else value
 
 
@@ -142,8 +143,10 @@ class Weight:
     coords: tuple
 
     def __init__(self, coords):
+        # a Fraction that is not integral is kept as it is
         object.__setattr__(self, "coords", tuple(
-            c if type(c) is int else _exact(c) for c in coords))
+            c if type(c) is int or type(c) is Fraction and c.denominator != 1
+            else _exact(c) for c in coords))
 
     def __add__(self, other):
         return Weight(tuple(a + b for a, b in zip(self.coords, other.coords)))
@@ -371,8 +374,12 @@ class RootDatum:
             group = self._groups[key] = ReflectionGroup(self, key)
         return group
 
-    def weyl_group(self):
+    @functools.cached_property
+    def _weyl_group(self):
         return self.reflection_group(self.simple_root(i) for i in range(self.rank))
+
+    def weyl_group(self):
+        return self._weyl_group
 
 
 def build_root_datum(type_str):
@@ -382,10 +389,10 @@ def build_root_datum(type_str):
 
 
 class WeylElement:
-    """Group element carrying its index and a canonical reduced word.
+    """Listed group element carrying its index and canonical reduced word.
 
-    Identity has index 0 and word ().  A group makes one element per index
-    and hands out only those, so elements compare and hash by identity.
+    Identity has index 0 and word ().  A listed group makes one element per
+    index and hands out only those, so elements compare and hash by identity.
     """
 
     __slots__ = ("group", "index", "word", "length")
@@ -405,6 +412,19 @@ class WeylElement:
         return self.group.act_word(self.word, weight)
 
 
+class _Images(dict):
+    """Row i of `ReflectionGroup.lmul` before the group is listed: id w ->
+    id of s_i w, filled on first lookup."""
+
+    __slots__ = ("group", "gen")
+
+    def __init__(self, group, gen):
+        self.group, self.gen = group, gen
+
+    def __missing__(self, w):
+        return self.group._fill(self.gen, w)
+
+
 class ReflectionGroup:
     """Finite reflection group generated by reflections in chosen roots.
 
@@ -412,18 +432,45 @@ class ReflectionGroup:
     simple system for the subsystem.  The full Weyl group is the special
     case where these are the ambient simples.
 
-    Elements are numbered 0..order-1 in (length, word) order.  `lmul[i][w]`
-    is the index of s_i w and `length[w]` the length of element w; both are
-    built with the elements, on first use.
+    The group works in its own coordinates: a weight v is the tuple of its
+    pairings <v, beta_j^vee> with the simple coroots; for the Weyl group of
+    the datum these are the fundamental-weight coordinates.  There rho_J,
+    half the sum of the group's positive roots, is (1, ..., 1), and it is
+    regular, so an element w is named by the integer vector w(rho_J):
+
+    - s_i is a left descent of w exactly when entry i of w(rho_J) is
+      negative, and then s_i w is one shorter than w, else one longer;
+    - w w0 is named by -w(rho_J) and has length l(w0) - l(w).
+
+    Elements are interned on first sight as small ids: `_vecs[w]` is the
+    vector of id w, `length[w]` its length, and `lmul[i][w]` the id of
+    s_i w, reflected on first lookup.  Listing the group (`elements`,
+    `from_word`, `longest_element`, `order`) numbers every element in
+    (length, word) order, so that id n is the listed element n, fills
+    `lmul` as complete lists, and drops what an earlier partial interning
+    kept by id (Bruhat intervals, KL columns).
     """
 
     def __init__(self, datum, simples):
         self.datum = datum
         self.simples = [tuple(s) for s in simples]
         self.num_gens = len(self.simples)
+        # s_i v = v - v[i] mirrors[i], with mirrors[i][j] = <beta_i, beta_j^vee>
+        coroots = [datum.coroot_coords(r) for r in self.simples]
+        self._mirrors = [tuple(sum(c * w for c, w in
+                                   zip(coroot, datum._root_weights[r]))
+                               for coroot in coroots)
+                         for r in self.simples]
+        self._reflect = self.reflector()
         self._elements = None
-        self._intervals = {0: 1}        # index y -> bitset of [e, y]
-        self._kl_columns = {}           # index y -> {x index: P_{x,y}}, see kl.py
+        rho = (1,) * self.num_gens
+        self._install([rho], {rho: 0}, [0],
+                      [_Images(self, i) for i in range(self.num_gens)])
+
+    def _install(self, vecs, ids, length, lmul):
+        self._vecs, self._ids, self.length, self.lmul = vecs, ids, length, lmul
+        self._intervals = {0: 1}        # id y -> bitset of [e, y] over ids
+        self._kl_columns = {}           # id y -> {x id: P_{x,y}}, see kl.py
 
     # -- words acting on ambient data ---------------------------------
 
@@ -437,20 +484,71 @@ class ReflectionGroup:
             root = self.datum.reflect_root(self.simples[i], root)
         return root
 
-    # -- enumeration ---------------------------------------------------
+    def reflector(self):
+        """reflect(i, vec): generator i acting on a weight in the group's
+        own coordinates."""
+        mirrors = self._mirrors
+
+        def reflect(i, vec):
+            pair = vec[i]
+            return tuple(v - pair * m for v, m in zip(vec, mirrors[i]))
+
+        return reflect
+
+    # -- elements by id -------------------------------------------------
+
+    def _intern(self, vec, length):
+        """The id of the element named by vec, which has the given length."""
+        w = self._ids.get(vec)
+        if w is None:
+            w = self._ids[vec] = len(self._vecs)
+            self._vecs.append(vec)
+            self.length.append(length)
+        return w
+
+    def _fill(self, i, w):
+        vec = self._vecs[w]
+        image = self._reflect(i, vec)
+        u = self._intern(image, self.length[w] + (1 if vec[i] > 0 else -1))
+        row = self.lmul[i]
+        row[w] = u
+        row[u] = w
+        return u
+
+    def _descent(self, w):
+        """The least i with s_i w < w; w is not the identity."""
+        return next(i for i, c in enumerate(self._vecs[w]) if c < 0)
+
+    def _apply(self, word, w):
+        """The id of s_(i1) ... s_(ik) w, for the word (i1, ..., ik)."""
+        lmul = self.lmul
+        for i in reversed(word):
+            w = lmul[i][w]
+        return w
+
+    @functools.cached_property
+    def longest_length(self):
+        """l(w0), the number of walls crossed from rho_J to -rho_J."""
+        vec, steps = (1,) * self.num_gens, 0
+        while True:
+            i = next((i for i, c in enumerate(vec) if c > 0), None)
+            if i is None:
+                return steps
+            vec, steps = self._reflect(i, vec), steps + 1
+
+    # -- listing -------------------------------------------------------
 
     def _materialize(self):
         if self._elements is not None:
             return
-        # breadth first from the identity, each element keyed by the integer
-        # vector w(rho); a new element takes the word (i,) + word(u) of the
-        # first u in the previous layer with s_i u equal to it.  Each vector
-        # is reflected once per generator; its images lie in the layers
-        # before and after it, so they fill its lmul column once the next
-        # layer is numbered.
-        reflect = self.reflector()
+        # breadth first from the identity, each element keyed by its vector;
+        # a new element takes the word (i,) + word(u) of the first u in the
+        # previous layer with s_i u equal to it.  Each vector is reflected
+        # once per generator; its images lie in the layers before and after
+        # it, so they fill its lmul column once the next layer is numbered.
+        reflect = self._reflect
         gens = range(self.num_gens)
-        rho = (1,) * self.datum.rank
+        rho = (1,) * self.num_gens
         words = {rho: ()}
         index = {rho: 0}
         order = [rho]
@@ -477,21 +575,7 @@ class ReflectionGroup:
                 raise ValueError("reflection group too large to materialize")
         self._elements = [WeylElement(self, n, words[vec])
                           for n, vec in enumerate(order)]
-        self.length = [w.length for w in self._elements]
-        self.lmul = lmul
-
-    def reflector(self):
-        """reflect(i, vec): generator i acting on the coordinate tuple of a
-        weight."""
-        mirrors = [(self.datum.coroot_coords(r), self.datum._root_weights[r])
-                   for r in self.simples]
-
-        def reflect(i, vec):
-            coroot, root_weight = mirrors[i]
-            pair = sum(c * v for c, v in zip(coroot, vec))
-            return tuple(v - pair * r for v, r in zip(vec, root_weight))
-
-        return reflect
+        self._install(order, index, [w.length for w in self._elements], lmul)
 
     def elements(self):
         """All elements, sorted by (length, word); element n has index n."""
@@ -502,17 +586,12 @@ class ReflectionGroup:
         self._materialize()
         return len(self._elements)
 
-    def _left_multiply(self, word, w):
-        for i in reversed(word):
-            w = self.lmul[i][w]
-        return self._elements[w]
-
     def from_word(self, word):
         self._materialize()
-        return self._left_multiply(word, 0)
+        return self._elements[self._apply(word, 0)]
 
     def mult(self, x, y):
-        return self._left_multiply(x.word, y.index)
+        return self._elements[self._apply(x.word, y.index)]
 
     def longest_element(self):
         self._materialize()
@@ -526,10 +605,10 @@ class ReflectionGroup:
 
     def _interval(self, y):
         # [e, y] = [e, sy] | s[e, sy] for a left descent s of y, as a bitset
-        # over element indices
+        # over ids
         bits = self._intervals.get(y)
         if bits is None:
-            s = self.lmul[self._elements[y].word[0]]
+            s = self.lmul[self._descent(y)]
             bits = lower = self._interval(s[y])
             while lower:
                 low = lower & -lower

@@ -127,7 +127,7 @@ def shifted_dot(datum, word, lam0, n):
     The shift coefficient counts the current degrees 0..n, so the level-zero
     case is the classical dot action.
     """
-    shift = (n + 1) * datum.rho
+    shift = Weight((n + 1,) * datum.rank)       # (n+1) rho
     return datum.weyl_group().act_word(word, lam0 + shift) - shift
 
 

@@ -6,10 +6,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from trunco import engine, oracle
+from trunco import engine, kl, oracle
 from trunco.characters import cone
 from trunco.engine import MultiplicityQuery, multiplicity, multiplicity_table
-from trunco.root_datum import RootDatum, Weight, build_root_datum
+from trunco.root_datum import (ReflectionGroup, RootDatum, Weight,
+                               build_root_datum)
 from trunco.trunc_weights import TruncatedWeight, find_twisting_word, n_dot
 
 import engine_reference
@@ -199,16 +200,25 @@ def test_engine_matches_oracle_on_random_blocks(case):
         assert _value(datum, lam, nu) == dec.get(beta, 0), (type_str, lam, beta)
 
 
-@pytest.mark.parametrize("type_str", ["D5", "F4", "E6"])
-def test_zero_tail_table_of_a_large_group_matches_oracle(type_str):
-    # the KL layer answers from short intervals [w0 x, w0 y], so the
-    # engine reaches W(E6) at a depth the oracle also reaches
+def _refuse_listing(group):
+    raise AssertionError("listed a group of %d generators" % group.num_gens)
+
+
+@pytest.mark.parametrize("type_str", ["D5", "F4", "E6", "E7", "E8", "A9", "B7"])
+def test_zero_tail_table_of_a_large_group_matches_oracle(type_str, monkeypatch):
+    # the KL layer answers from short intervals of elements named by their
+    # vectors, so the engine reaches groups far too large to list
     datum = build_root_datum(type_str)
     zero = Weight((0,) * datum.rank)
     lam = TruncatedWeight([zero, zero])
     dec = oracle.verma_decomposition(datum, lam, 2)
+    group = kl.integral_weyl_group(datum, zero)
+    # criterion 6 lists W(F4) earlier in a full run
+    unlisted = group._elements is None
+    monkeypatch.setattr(ReflectionGroup, "_materialize", _refuse_listing)
     assert multiplicity_table(datum, lam, 2) == {
         lam[0] - datum.root_weight(beta): v for beta, v in dec.items() if v}
+    assert (group._elements is None) == unlisted
 
 
 @pytest.mark.parametrize("type_str", ["B7", "D7", "E7", "E8", "A9"])

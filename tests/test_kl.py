@@ -5,7 +5,7 @@ from trunco.characters import cone
 from trunco.kl import (_column, _inverse_entry, _longest_taking,
                        base_multiplicity, block_descriptor, integral_subsystem,
                        integral_weyl_group, kl_polynomial)
-from trunco.root_datum import Weight, build_root_datum
+from trunco.root_datum import RootDatum, Weight, build_root_datum
 from trunco.trunc_weights import TruncatedWeight
 from trunco import oracle
 
@@ -92,6 +92,43 @@ def test_both_paths_agree_with_bar_involution_solver():
             assert _column(group, y.index).get(x.index, ()) == want
             assert _inverse_entry(group, group.mult(w0, y).index,
                                   group.mult(w0, x).index) == want
+
+
+def test_a_group_interned_before_it_is_listed():
+    # base_multiplicity names elements of a fresh group by their vectors, in
+    # no length order, without listing it.  Listing it afterwards renumbers
+    # it in (length, word) order; the lengths found lazily, the values, and
+    # the KL polynomials of the listed elements must all hold up.
+    rng = random.Random(31)
+    for type_str, count in (("B3", 60), ("A4", 40), ("D4", 30), ("F4", 8)):
+        interned = build_root_datum(type_str)
+        datum = RootDatum(interned.cartan)      # not interned: a fresh group
+        zero = Weight((0,) * datum.rank)
+        listed = integral_weyl_group(interned, zero)
+        group, rho = integral_weyl_group(datum, zero), datum.rho
+        values = {}
+        for x, y in _sample_pairs(listed, count, rng):
+            lam0, nu0 = x.act(rho) - rho, y.act(rho) - rho
+            values[x.word, y.word] = base_multiplicity(datum, lam0, nu0)
+        assert group._elements is None
+        lazy = dict(zip(group._vecs, group.length))
+        assert group.length != sorted(group.length), type_str
+        elements = group.elements()
+        assert [w.index for w in elements] == list(range(group.order()))
+        assert [w.word for w in elements] == [w.word for w in listed.elements()]
+        for vec, length in lazy.items():
+            assert group.length[group._ids[vec]] == length, (type_str, vec)
+        solver = KLSolver(group)
+        w0 = group.longest_element()
+        for (x_word, y_word), value in values.items():
+            x, y = group.from_word(x_word), group.from_word(y_word)
+            lam0, nu0 = x.act(rho) - rho, y.act(rho) - rho
+            # [M_{x.0} : L_{y.0}] = P_{y w0, x w0}(1)
+            top, below = group.mult(x, w0), group.mult(y, w0)
+            p = kl_polynomial(group, below, top)
+            assert p.coeffs == solver.kl(below, top), (type_str, x, y)
+            assert p(1) == value == base_multiplicity(datum, lam0, nu0), \
+                (type_str, x, y)
 
 
 def test_integral_subsystem():
@@ -206,11 +243,20 @@ def test_group_tables_match_their_definitions():
         group = integral_weyl_group(build_root_datum(type_str), Weight(coords))
         elements = group.elements()
         assert [w.index for w in elements] == list(range(group.order()))
+        # the vector of w names it: a negative entry i is a left descent,
+        # and w w0 is named by the negated vector
+        w0 = group.longest_element()
+        assert group.longest_length == w0.length
         for w in elements:
+            vec = group._vecs[w.index]
+            assert group._ids[vec] == w.index
+            assert group._vecs[group.mult(w, w0).index] == \
+                tuple(-c for c in vec)
             for i, simple in enumerate(group.simples):
                 negative = all(c <= 0 for c in act_root(inverse(w), simple))
                 assert has_left_descent(group, w, i) == negative, \
                     (type_str, coords, w, i)
+                assert (vec[i] < 0) == negative
         for _ in range(200):
             x, y = rng.choice(elements), rng.choice(elements)
             assert group.mult(x, y) is group.from_word(x.word + y.word)
