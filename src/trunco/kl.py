@@ -212,7 +212,7 @@ class BlockDescriptor:
 
     group: ReflectionGroup          # integral Weyl group
     dominant: Weight                # dominant point of the orbit of lam0 + rho
-    y: tuple                        # vector of the shortest y, y . dominant = lam0
+    y: tuple                        # vector of the shortest y (see above)
 
     @property
     def antidominant(self):

@@ -455,7 +455,7 @@ class ReflectionGroup:
         self.datum = datum
         self.simples = [tuple(s) for s in simples]
         self.num_gens = len(self.simples)
-        # s_i v = v - v[i] mirrors[i], with mirrors[i][j] = <beta_i, beta_j^vee>
+        # s_i v = v - v[i] mirrors[i]; mirrors[i][j] = <beta_i, beta_j^vee>
         coroots = [datum.coroot_coords(r) for r in self.simples]
         self._mirrors = [tuple(sum(c * w for c, w in
                                    zip(coroot, datum._root_weights[r]))

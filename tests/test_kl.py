@@ -115,7 +115,8 @@ def test_a_group_interned_before_it_is_listed():
         assert group.length != sorted(group.length), type_str
         elements = group.elements()
         assert [w.index for w in elements] == list(range(group.order()))
-        assert [w.word for w in elements] == [w.word for w in listed.elements()]
+        assert [w.word for w in elements] == \
+            [w.word for w in listed.elements()]
         for vec, length in lazy.items():
             assert group.length[group._ids[vec]] == length, (type_str, vec)
         solver = KLSolver(group)
