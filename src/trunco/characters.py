@@ -90,6 +90,7 @@ def verma_character(datum, lam, depth, method="convolution"):
     `method="pbw"` instead counts monomials in the n+1 shifted copies of the
     lowering operators directly; the two must agree.
     """
+    datum.check_rank(lam[0])
     n = lam.level
     offsets = cone(datum.rank, depth)
     if method == "convolution":

@@ -8,7 +8,11 @@ partition function.  Level zero is classical category O, answered by
 Kazhdan-Lusztig polynomials at q = 1.  The twisting word, the Levi and the
 twisted tail depend only on the block, so the datum keeps one plan per tail.
 A query checks nu against lambda once; the recursion then carries the offset
-beta = lambda_0 - nu_0 (Z>=0, in simple roots) and twists only lambda_0 and beta.
+beta = lambda_0 - nu_0 (Z>=0, in simple roots) and twists only lambda_0 and
+beta, not at all when the block's twisting word is empty.  A child's
+lambda_0 is the Levi part of the twisted lambda_0 minus the Levi's Cartan
+matrix times alpha, in integers.  The level-zero leaf answers from lambda_0
+and beta (see `kl.offset_multiplicity`); nu_0 is built only for the trace.
 """
 
 from __future__ import annotations
@@ -30,16 +34,10 @@ class MultiplicityQuery:
     nu: TruncatedWeight
 
     def __post_init__(self):
-        _check_rank(self.datum, self.lam, self.nu)
+        # the components of a truncated weight share one length
+        self.datum.check_rank(self.lam[0], self.nu[0])
         if self.lam.level != self.nu.level:
             raise ValueError("weights at different truncation levels")
-
-
-def _check_rank(datum, *weights):
-    for weight in weights:
-        if any(len(c.coords) != datum.rank for c in weight.components):
-            raise ValueError("every component of %s needs %d coordinates"
-                             % (weight, datum.rank))
 
 
 @dataclass
@@ -96,10 +94,10 @@ def _zero_trace(reason):
 
 
 def _base_case(datum, lam0, beta, trace):
+    if not trace:
+        return kl.offset_multiplicity(datum, lam0, beta), None
     nu0 = lam0 - datum.root_weight(beta)
     value = kl.base_multiplicity(datum, lam0, nu0)
-    if not trace:
-        return value, None
     details = {"lambda_0": str(lam0), "nu_0": str(nu0)}
     if any(beta):
         desc = kl.block_descriptor(datum, lam0)
@@ -141,9 +139,12 @@ def _block_plan(datum, lam):
 def _reduce_level(datum, lam, beta, trace):
     n = lam.level
     word, levi, tail, sub, sub_tail = _block_plan(datum, lam)
-    lam2_0 = shifted_dot(datum, word, lam[0], n)
-    # the shifts cancel: lam2_0 - nu2_0 = w(lam_0 - nu_0) = w(beta)
-    delta = datum.weyl_group().act_word_root(word, beta)
+    if word:
+        lam2_0 = shifted_dot(datum, word, lam[0], n)
+        # the shifts cancel: lam2_0 - nu2_0 = w(lam_0 - nu_0) = w(beta)
+        delta = datum.weyl_group().act_word_root(word, beta)
+    else:
+        lam2_0, delta = lam[0], beta
     node = MultiplicityTrace("reduce", 0, {
         "n": n,
         "twisting_word": list(word),
@@ -159,15 +160,17 @@ def _reduce_level(datum, lam, beta, trace):
         if trace:
             node.details["reason"] = "weights not linked through the Levi"
         return 0, node
-    lam_r0 = Weight(tuple(lam2_0.coords[j] for j in levi))
+    lam_r0 = [lam2_0.coords[j] for j in levi]
     pfun = sub.partitions
     total = 0
     for alpha in itertools.product(*(range(b + 1) for b in bounds)):
         count = pfun.count(alpha)
         if count == 0:
             continue
-        child_lam = TruncatedWeight(
-            (lam_r0 - sub.root_weight(alpha),) + sub_tail)
+        # lambda_0 of the child: lam_r0 - alpha, alpha in the Levi's roots
+        child_lam = TruncatedWeight((Weight(tuple(
+            c - sum(a * x for a, x in zip(row, alpha))
+            for c, row in zip(lam_r0, sub.cartan))),) + sub_tail)
         child_value, child_node = _multiplicity(
             sub, child_lam, tuple(b - a for b, a in zip(bounds, alpha)), trace)
         total += count * child_value
@@ -183,7 +186,7 @@ def _reduce_level(datum, lam, beta, trace):
 def multiplicity_table(datum, lam, depth):
     """All nonzero [M_lam : L_nu] with nu_0 = lambda_0 - beta, height(beta)
     at most depth, and matching tail.  Returns {nu0 Weight: value}."""
-    _check_rank(datum, lam)
+    datum.check_rank(lam[0])
     out = {}
     for beta in cone(datum.rank, depth):
         value, _ = _multiplicity(datum, lam, beta, False)

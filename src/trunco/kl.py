@@ -18,8 +18,11 @@ group.  Listed elements (`kl_polynomial`) use the same ids and tables.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 
+from . import linalg
 from .root_datum import ReflectionGroup, Weight
 
 
@@ -179,6 +182,12 @@ def integral_subsystem(datum, lam0):
     Returns (positive_roots, simples) in ambient root coordinates; the
     simples are the indecomposable elements of the positive part.
     """
+    datum.check_rank(lam0)
+    if all(type(c) is int for c in lam0.coords):
+        # every coroot pairs integrally with lam0 + rho, and a positive
+        # root above height one is a positive root plus a simple one
+        positive = list(datum.positive_roots)
+        return positive, [r for r in positive if sum(r) == 1]
     shifted = lam0 + datum.rho
     positive = [r for r in datum.positive_roots
                 if datum.pairing(shifted, r).denominator == 1]
@@ -198,26 +207,44 @@ def integral_weyl_group(datum, lam0):
     return datum.reflection_group(integral_subsystem(datum, lam0)[1])
 
 
-@dataclass
+@dataclass(eq=False)
 class BlockDescriptor:
     """The level-zero block through lam0, as the KL layer answers it.
 
-    `dominant` is the dominant point of the orbit of lam0 + rho under the
-    integral Weyl group `group`, and `y` the vector (see `ReflectionGroup`)
-    of the shortest y taking it to lam0 + rho.  The longest w with
-    w . antidominant == lam0 is then y w0.  `antidominant` and `top` give
-    the antidominant point and y w0 as a listed element, for the trace; they
-    list the group.
+    Vectors are in the coordinates of the integral Weyl group `group`: a
+    weight v is the tuple of its pairings <v, beta_j^vee> with the integral
+    simple coroots.  `shifted` is lam0 + rho so written, `dominant` the
+    dominant point of its orbit, and `y` the vector (see `ReflectionGroup`)
+    of the shortest y taking that point to lam0 + rho; the longest w with
+    w . antidominant == lam0 is then y w0.  For an offset beta in simple
+    roots, nu_0 + rho = lam0 + rho - beta is `shifted` minus the integer
+    product `pairings` . beta, with pairings[j][k] = <alpha_k, beta_j^vee>.
+    Those coordinates forget the part of beta outside the span of the
+    integral simples, which `normals` detects: integer vectors whose dot
+    products vanish exactly on that span (none when the group has full
+    rank).  `antidominant` and `top` give the antidominant point and y w0
+    as a listed element, for the trace; they list the group.  There is one
+    descriptor per datum and lam0, compared by identity.
     """
 
     group: ReflectionGroup          # integral Weyl group
-    dominant: Weight                # dominant point of the orbit of lam0 + rho
+    lam0: Weight
+    shifted: tuple                  # lam0 + rho, group coordinates
+    pairings: tuple                 # <alpha_k, beta_j^vee>, row j
+    normals: tuple                  # integer normals to the span of the simples
+    dominant: tuple                 # dominant point of the orbit of shifted
     y: tuple                        # vector of the shortest y (see above)
+
+    @property
+    def dominant_weight(self):
+        """The dominant point as an ambient weight, by `_to_dominant`."""
+        datum = self.group.datum
+        return _to_dominant(datum, self.group, self.lam0 + datum.rho)[0]
 
     @property
     def antidominant(self):
         w0 = self.group.longest_element()
-        return w0.act(self.dominant) - self.group.datum.rho
+        return w0.act(self.dominant_weight) - self.group.datum.rho
 
     @property
     def top(self):
@@ -228,7 +255,7 @@ class BlockDescriptor:
 
 def _to_dominant(datum, group, mu):
     """(dominant point of mu's orbit, reduced word of the shortest y taking
-    it to mu), by descent."""
+    it to mu), by descent on an ambient weight."""
     word = []
     while True:
         for i, r in enumerate(group.simples):
@@ -240,37 +267,90 @@ def _to_dominant(datum, group, mu):
             return mu, word
 
 
+def _descend(group, vec):
+    """`_to_dominant` on a vector in the group's coordinates: the same rule
+    (reflect in the first simple with a negative pairing) reads one entry
+    per step."""
+    reflect = group._reflect
+    word = []
+    while True:
+        i = next((i for i, c in enumerate(vec) if c < 0), None)
+        if i is None:
+            return vec, word
+        vec = reflect(i, vec)
+        word.append(i)
+
+
+def _span_normals(simples, rank):
+    """Integer vectors x with x . s = 0 for every simple s: a basis of the
+    null space of the matrix whose rows are the simples."""
+    if len(simples) == rank:
+        return ()
+    ech, pivots = linalg.row_echelon(simples)
+    normals = []
+    for free in range(rank):
+        if free in pivots:
+            continue
+        x = [Fraction(0)] * rank
+        x[free] = Fraction(1)
+        for row, p in zip(ech, pivots):
+            x[p] = -row[free]
+        den = math.lcm(*(c.denominator for c in x))
+        normals.append(tuple(int(c * den) for c in x))
+    return tuple(normals)
+
+
 def block_descriptor(datum, lam0):
     """The descriptor of the level-zero block through lam0, one per datum
     and lam0, built on first use."""
     desc = datum._descriptors.get(lam0)
     if desc is None:
         group = integral_weyl_group(datum, lam0)
-        dominant, word = _to_dominant(datum, group, lam0 + datum.rho)
+        lam_rho = lam0 + datum.rho
+        # integral by the choice of simples
+        shifted = tuple(int(datum.pairing(lam_rho, r)) for r in group.simples)
+        columns = tuple(zip(*datum.cartan))     # alpha_k, weight coordinates
+        pairings = tuple(
+            tuple(sum(c * a for c, a in zip(datum.coroot_coords(r), column))
+                  for column in columns)
+            for r in group.simples)
+        dominant, word = _descend(group, shifted)
         desc = datum._descriptors[lam0] = BlockDescriptor(
-            group, dominant, group._vecs[group._apply(word, 0)])
+            group, lam0, shifted, pairings,
+            _span_normals(group.simples, datum.rank), dominant,
+            group._vecs[group._apply(word, 0)])
     return desc
 
 
 def _longest_taking(datum, desc, target):
     """Longest w with w . antidominant == target, as a listed element:
     y w0, y shortest in y W_J."""
-    point, word = _to_dominant(datum, desc.group, target + datum.rho)
-    if point != desc.dominant:
-        return None
     group = desc.group
+    point, word = _to_dominant(datum, group, target + datum.rho)
+    if point != desc.dominant_weight:
+        return None
     return group.mult(group.from_word(word), group.longest_element())
 
 
-def base_multiplicity(datum, lam0, nu0):
-    """[M_{lam0} : L_{nu0}] over the untruncated algebra (level n = 0)."""
-    if lam0 == nu0:
+def offset_multiplicity(datum, lam0, beta):
+    """[M_{lam0} : L_{lam0 - beta}] over the untruncated algebra (level
+    n = 0), for beta a tuple of Z>=0 coefficients of the simple roots.
+
+    lam0 - beta lies in the block of lam0 when lam0 + rho - beta has the
+    same dominant point in the coordinates of the integral Weyl group and
+    beta lies in the span of the integral simples: the two dominant points
+    then differ by a vector in that span orthogonal to every integral
+    coroot, which is zero.
+    """
+    if not any(beta):
         return 1
-    if datum.dominance_offset(nu0, lam0) is None:
-        return 0
     desc = block_descriptor(datum, lam0)
+    if any(sum(x * b for x, b in zip(normal, beta)) for normal in desc.normals):
+        return 0
     group = desc.group
-    point, word = _to_dominant(datum, group, nu0 + datum.rho)
+    vec = tuple(s - sum(p * b for p, b in zip(row, beta))
+                for s, row in zip(desc.shifted, desc.pairings))
+    point, word = _descend(group, vec)
     if point != desc.dominant:
         return 0
     y, y2 = group._ids[desc.y], group._apply(word, 0)
@@ -282,3 +362,11 @@ def base_multiplicity(datum, lam0, nu0):
     x = group._intern(tuple(-c for c in desc.y), top - length[y])
     x2 = group._intern(tuple(-c for c in group._vecs[y2]), top - length[y2])
     return sum(_column(group, x).get(x2, ()))
+
+
+def base_multiplicity(datum, lam0, nu0):
+    """[M_{lam0} : L_{nu0}] over the untruncated algebra (level n = 0)."""
+    beta = datum.dominance_offset(nu0, lam0)
+    if beta is None:
+        return 0
+    return offset_multiplicity(datum, lam0, beta)

@@ -198,6 +198,7 @@ class TruncatedModule:
     """
 
     def __init__(self, datum, lam, depth):
+        datum.check_rank(lam[0])
         self.datum = datum
         self.lam = lam
         self.n = lam.level

@@ -339,6 +339,13 @@ class RootDatum:
                    for c, row in zip(self.coroot_coords(root), self.cartan))
         return tuple(o - pair * r for o, r in zip(other, root))
 
+    def check_rank(self, *weights):
+        """Raise ValueError unless every weight has `rank` coordinates."""
+        for weight in weights:
+            if len(weight.coords) != self.rank:
+                raise ValueError("weight %s has %d coordinates, expected %d"
+                                 % (weight, len(weight.coords), self.rank))
+
     def root_coords(self, weight, indices=None):
         """Express a weight as a rational combination of simple roots.
 
@@ -346,9 +353,7 @@ class RootDatum:
         Returns a full-length coefficient tuple (ints where integral), or
         None if the weight is not in their span.
         """
-        if len(weight.coords) != self.rank:
-            raise ValueError("weight %s has %d coordinates, expected %d"
-                             % (weight, len(weight.coords), self.rank))
+        self.check_rank(weight)
         coords = tuple(_ratio(sum(b * w for b, w in zip(row, weight.coords)),
                               self._inverse_den)
                        for row in self._cartan_inverse)

@@ -88,6 +88,7 @@ def find_twisting_word(datum, mu):
     the partially twisted weight, so the twist is a composition of
     reflections in nonsingular roots.
     """
+    datum.check_rank(mu)
     reflect = datum.weyl_group().reflector()
     gens = range(datum.rank)
     layer = [((), datum.rho.coords, mu.coords)]
@@ -135,6 +136,7 @@ def n_dot(datum, word, lam):
     """The shifted dot action of a Weyl group word on a truncated weight of
     level n: `shifted_dot` on component zero, the plain action on the
     others."""
+    datum.check_rank(lam[0])
     n = lam.level
     act = datum.weyl_group().act_word
     comps = [shifted_dot(datum, word, lam[0], n)]

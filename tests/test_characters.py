@@ -132,3 +132,9 @@ def test_decompose_reports_inconsistency():
 
     with pytest.raises(DecompositionError):
         decompose_in_block(a1, verma, provider)
+
+
+def test_verma_character_rejects_a_rank_mismatch():
+    a2 = build_root_datum("A2")
+    with pytest.raises(ValueError, match="expected 2"):
+        verma_character(a2, _tw((0, 0, 0), (0, 0, 0)), 2)

@@ -330,3 +330,42 @@ def test_one_offset_check_per_query(monkeypatch):
     table = multiplicity_table(a2, lam, 3)
     assert calls[True] == 0
     assert table == {nu[0]: v for nu, v in zip(nus, values) if v}
+
+
+def test_untraced_table_rebuilds_no_twist_and_no_weight_at_the_leaf(monkeypatch):
+    # a zero tail twists by the empty word, so the reduction neither applies
+    # it to lambda_0 nor to beta; the level-0 leaf answers from lambda_0 and
+    # beta in the integral group's coordinates, with no ambient descent and
+    # no second offset check
+    calls = collections.Counter()
+
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            calls[name, sys._getframe(1).f_code.co_filename] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    monkeypatch.setattr(engine, "shifted_dot",
+                        counting("shifted_dot", engine.shifted_dot))
+    monkeypatch.setattr(ReflectionGroup, "act_word_root", counting(
+        "act_word_root", ReflectionGroup.act_word_root))
+    monkeypatch.setattr(kl, "_to_dominant",
+                        counting("_to_dominant", kl._to_dominant))
+    monkeypatch.setattr(RootDatum, "dominance_offset", counting(
+        "dominance_offset", RootDatum.dominance_offset))
+    _cold()
+    a3 = build_root_datum("A3")
+    zero = Weight((0, 0, 0))
+    lam = TruncatedWeight([zero, zero])
+    table = multiplicity_table(a3, lam, 3)
+    assert calls["shifted_dot", engine.__file__] == 0
+    assert calls["act_word_root", engine.__file__] == 0
+    assert not [key for key in calls if key[0] in ("_to_dominant",
+                                                    "dominance_offset")]
+    assert len(table) > 1 and len(engine._VALUE_MEMO) > len(table)
+    # the traced path, unchanged, agrees entry by entry
+    _cold()
+    for beta in cone(a3.rank, 3):
+        nu0 = zero - a3.root_weight(beta)
+        query = MultiplicityQuery(a3, lam, TruncatedWeight([nu0, zero]))
+        assert multiplicity(query, trace=True)[0] == table.get(nu0, 0)

@@ -1,10 +1,12 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 from trunco.characters import cone
 from trunco.kl import (_column, _inverse_entry, _longest_taking,
                        base_multiplicity, block_descriptor, integral_subsystem,
-                       integral_weyl_group, kl_polynomial)
+                       integral_weyl_group, kl_polynomial, offset_multiplicity)
 from trunco.root_datum import RootDatum, Weight, build_root_datum
 from trunco.trunc_weights import TruncatedWeight
 from trunco import oracle
@@ -141,6 +143,25 @@ def test_integral_subsystem():
     positive, simples = integral_subsystem(a2, lam)
     assert positive == [(1, 0)]
     assert simples == [(1, 0)]
+
+
+def test_integral_subsystem_of_an_integral_weight_is_the_whole_system():
+    # integral lambda_0 skips the search for indecomposable roots
+    for type_str in ("A3", "B3", "G2", "D4", "F4", "A1xA1"):
+        datum = build_root_datum(type_str)
+        lam0 = Weight([(-1) ** i * i for i in range(datum.rank)])
+        positive, simples = integral_subsystem(datum, lam0)
+        assert positive == datum.positive_roots
+        roots = set(positive)
+        assert simples == [r for r in positive if not any(
+            tuple(a - b for a, b in zip(r, s)) in roots for s in positive)]
+
+
+def test_integral_subsystem_rejects_a_rank_mismatch():
+    # zip used to cut the weight short and answer anyway
+    a2 = build_root_datum("A2")
+    with pytest.raises(ValueError, match="expected 2"):
+        integral_subsystem(a2, Weight((1,)))
 
 
 def test_block_descriptor_regular_integral():
@@ -282,3 +303,47 @@ def test_base_multiplicity_matches_module_oracle():
                 nu0 = lam[0] - datum.root_weight(beta)
                 assert base_multiplicity(datum, lam[0], nu0) == \
                     dec.get(beta, 0), (type_str, coords, beta)
+
+
+def _leaf_on_the_trace_path(datum, lam0, beta):
+    """[M_{lam0} : L_{lam0 - beta}] as the trace finds it: the ambient
+    descent of `_longest_taking`, then P_{y,x}(1) on the listed group."""
+    desc = block_descriptor(datum, lam0)
+    y = _longest_taking(datum, desc, lam0 - datum.root_weight(beta))
+    return 0 if y is None else kl_polynomial(desc.group, y, desc.top)(1)
+
+
+@pytest.mark.parametrize("type_str", ["A2", "B2", "G2", "A1xA1", "A3", "B3"])
+def test_offset_leaf_matches_the_trace_path(type_str):
+    datum = build_root_datum(type_str)
+    rng = random.Random(type_str)
+    ranks, nonzero = set(), 0
+    for kind in ("integral", "singular", "non-integral") * 3:
+        coords = [rng.randint(-2, 2) for _ in range(datum.rank)]
+        if kind == "singular":
+            coords[rng.randrange(datum.rank)] = -1
+        elif kind == "non-integral":
+            for i in rng.sample(range(datum.rank), rng.randint(1, datum.rank)):
+                coords[i] = Fraction(rng.choice((1, 2)), rng.choice((2, 3)))
+        lam0 = Weight(coords)
+        ranks.add(len(block_descriptor(datum, lam0).group.simples))
+        for beta in rng.sample(cone(datum.rank, 4), 12):
+            value = offset_multiplicity(datum, lam0, beta)
+            nu0 = lam0 - datum.root_weight(beta)
+            assert value == base_multiplicity(datum, lam0, nu0) == \
+                _leaf_on_the_trace_path(datum, lam0, beta), (coords, beta)
+            nonzero += bool(value) and any(beta)
+    # full-rank and lower-rank integral groups, and values off the diagonal
+    assert datum.rank in ranks and min(ranks) < datum.rank and nonzero
+
+
+def test_offset_outside_the_integral_span_leaves_the_block():
+    # lambda_0 = (1/2, 0): the integral group is generated by alpha_2 alone.
+    # beta = alpha_1 keeps the pairing with alpha_2^vee, so the dominant
+    # points agree in the group's coordinates, but lambda_0 - alpha_1 lies
+    # in another block.
+    datum = build_root_datum("A1xA1")
+    lam0 = Weight((Fraction(1, 2), 0))
+    assert offset_multiplicity(datum, lam0, (1, 0)) == 0
+    assert offset_multiplicity(datum, lam0, (0, 1)) == 1
+    assert base_multiplicity(datum, lam0, lam0 - datum.root_weight((1, 0))) == 0

@@ -368,3 +368,15 @@ def test_simple_char_cuts_the_deepest_character(type_str, coords, deep):
         assert cut.depth == depth and cut.table == fresh.table
         assert cut == fresh
     assert _SIMPLE_CHAR_MEMO[(datum.key, lam)] is kept
+
+
+def test_oracle_rejects_a_rank_mismatch():
+    # a 3-coordinate weight on A2 used to decompose as if it had 2
+    a2 = build_root_datum("A2")
+    lam = _tw((0, 0, 0), (0, 0, 0))
+    with pytest.raises(ValueError, match="expected 2"):
+        verma_decomposition(a2, lam, 2)
+    with pytest.raises(ValueError, match="expected 2"):
+        TruncatedModule(a2, lam, 2)
+    with pytest.raises(ValueError, match="expected 2"):
+        TruncatedModule(a2, _tw((0,)), 1)

@@ -189,3 +189,18 @@ def test_root_coords_on_a_levi():
     # empty Levi: only equal zero components are in the span
     assert a2.root_coords(lam[0] - lam[0], ()) == (0, 0)
     assert a2.root_coords(lam[0] - nu[0], ()) is None
+
+
+def test_find_twisting_word_rejects_a_rank_mismatch():
+    a2 = build_root_datum("A2")
+    with pytest.raises(ValueError, match="expected 2"):
+        find_twisting_word(a2, Weight((1,)))
+    with pytest.raises(ValueError, match="expected 2"):
+        find_twisting_word(a2, Weight((1, 0, 0)))
+
+
+def test_n_dot_rejects_a_rank_mismatch():
+    # a rank-1 weight used to come back twisted as [-5],[0]
+    a2 = build_root_datum("A2")
+    with pytest.raises(ValueError, match="expected 2"):
+        n_dot(a2, (0,), _tw((1,), (0,)))
