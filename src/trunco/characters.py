@@ -41,11 +41,13 @@ class PartitionCache:
         self._memo = {}
 
     def count(self, beta):
-        """Number of ways to write beta as a Z>=0 sum of the roots."""
-        beta = tuple(int(b) for b in beta)
-        if any(b < 0 for b in beta):
+        """Ways to write the integer vector beta as a Z>=0 sum of the roots."""
+        key = tuple(map(int, beta))
+        if key != tuple(beta):
+            raise ValueError("non-integer partition argument %r" % (beta,))
+        if any(b < 0 for b in key):
             return 0
-        return self._count(beta, 0)
+        return self._count(key, 0)
 
     def _count(self, beta, start):
         if all(b == 0 for b in beta):

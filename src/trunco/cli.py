@@ -195,8 +195,10 @@ def cmd_verify_suite(args):
             checked += 1
             if value != expected:
                 mismatches += 1
+                # stdout carries only the JSON object under --json
                 print("MISMATCH %s n=%d lambda=%s nu=%s engine=%d oracle=%d"
-                      % (type_str, n, lam, nu, value, expected))
+                      % (type_str, n, lam, nu, value, expected),
+                      file=sys.stderr if args.json else sys.stdout)
     out = {"checked": checked, "mismatches": mismatches}
     _emit(args, out, lambda o: "checked %d queries, %d mismatches"
           % (o["checked"], o["mismatches"]))

@@ -12,7 +12,8 @@ beta = lambda_0 - nu_0 (Z>=0, in simple roots) and twists only lambda_0 and
 beta, not at all when the block's twisting word is empty.  A child's
 lambda_0 is the Levi part of the twisted lambda_0 minus the Levi's Cartan
 matrix times alpha, in integers.  The level-zero leaf answers from lambda_0
-and beta (see `kl.offset_multiplicity`); nu_0 is built only for the trace.
+and beta (see `kl.leaf_polynomial`); the trace prints that leaf's own
+polynomial and descent, and builds nu_0 only to print it.
 """
 
 from __future__ import annotations
@@ -96,20 +97,24 @@ def _zero_trace(reason):
 def _base_case(datum, lam0, beta, trace):
     if not trace:
         return kl.offset_multiplicity(datum, lam0, beta), None
-    nu0 = lam0 - datum.root_weight(beta)
-    value = kl.base_multiplicity(datum, lam0, nu0)
-    details = {"lambda_0": str(lam0), "nu_0": str(nu0)}
-    if any(beta):
-        desc = kl.block_descriptor(datum, lam0)
-        y = kl._longest_taking(datum, desc, nu0)
-        details.update({
-            "integral_simples": [list(r) for r in desc.group.simples],
-            "antidominant": str(desc.antidominant),
-            "x": list(desc.top.word),
-            "y": list(y.word) if y else None,
-        })
-        if y is not None:
-            details["kl"] = str(kl.kl_polynomial(desc.group, y, desc.top))
+    details = {"lambda_0": str(lam0),
+               "nu_0": str(lam0 - datum.root_weight(beta))}
+    if not any(beta):
+        return 1, MultiplicityTrace("base", 1, details)
+    desc = kl.block_descriptor(datum, lam0)
+    details.update({
+        "integral_simples": [list(r) for r in desc.group.simples],
+        "antidominant": str(desc.antidominant),
+        "x": list(desc.top.word),
+        "y": None,
+    })
+    value = 0
+    leaf = kl.leaf_polynomial(datum, lam0, beta)
+    if leaf is not None:
+        vec, coeffs = leaf
+        poly = kl.KLPolynomial(coeffs)
+        value = poly(1)
+        details.update(y=list(desc.listed_times_w0(vec).word), kl=str(poly))
     return value, MultiplicityTrace("base", value, details)
 
 

@@ -9,11 +9,11 @@ cosets modulo the dot-action stabilizer,
 Non-integral highest weights are handled by passing to the subsystem of
 roots with integral pairing.  Writing x = y w0 and y = y' w0 with y and y'
 shortest in their cosets, the value is P_{y' w0, y w0}(1) = Q_{y,y'}(1), the
-inverse KL polynomial, which the inversion formula reads off the short
-interval [y, y'] (see `_inverse_entry`); when the column of y w0 is the
-shorter end, it is read there.  Either way the work runs on the element ids
-of `ReflectionGroup`, named by their vectors w(rho), and never lists the
-group.  Listed elements (`kl_polynomial`) use the same ids and tables.
+inverse KL polynomial of `leaf_polynomial`.  `_kl_coeffs` reads it from a
+stored column of y w0, else from the shorter end: [y, y'] by the inversion
+formula (see `_inverse_entry`), or the column of y w0.  The work runs on
+the element ids of `ReflectionGroup`, named by their vectors w(rho), and
+never lists the group; `kl_polynomial` goes through the same helper.
 """
 
 from __future__ import annotations
@@ -159,21 +159,32 @@ def _inverse_entry(group, a, b):
     return row[b]
 
 
-def kl_polynomial(group, x, y):
-    """The Kazhdan-Lusztig polynomial P_{x,y} for elements of `group`.
+def _times_w0(group, w):
+    """The id of w w0, which is named by the negated vector of w."""
+    return group._intern(tuple(-c for c in group._vecs[w]),
+                         group.longest_length - group.length[w])
+
+
+def _kl_coeffs(group, x, y):
+    """P_{x,y} for ids x and y, as coefficients.
 
     From the stored column of y when there is one; else from whichever end
     of the Bruhat order is shorter: the column of y, or the interval
-    [w0 y, w0 x] through the inversion formula (see `_inverse_entry`).
+    [y w0, x w0] through the inversion formula, as Q_{y w0, x w0} (see
+    `_inverse_entry`).
     """
-    column = group._kl_columns.get(y.index)
+    column = group._kl_columns.get(y)
     if column is None:
-        w0 = group.longest_element()
-        if w0.length - x.length < y.length:
-            return KLPolynomial(_inverse_entry(
-                group, group.mult(w0, y).index, group.mult(w0, x).index))
-        column = _column(group, y.index)
-    return KLPolynomial(column.get(x.index, ()))
+        if group.longest_length - group.length[x] < group.length[y]:
+            return _inverse_entry(group, _times_w0(group, y),
+                                  _times_w0(group, x))
+        column = _column(group, y)
+    return column.get(x, ())
+
+
+def kl_polynomial(group, x, y):
+    """The Kazhdan-Lusztig polynomial P_{x,y} for elements of `group`."""
+    return KLPolynomial(_kl_coeffs(group, x.index, y.index))
 
 
 def integral_subsystem(datum, lam0):
@@ -222,9 +233,9 @@ class BlockDescriptor:
     Those coordinates forget the part of beta outside the span of the
     integral simples, which `normals` detects: integer vectors whose dot
     products vanish exactly on that span (none when the group has full
-    rank).  `antidominant` and `top` give the antidominant point and y w0
-    as a listed element, for the trace; they list the group.  There is one
-    descriptor per datum and lam0, compared by identity.
+    rank).  `top` gives y w0 as a listed element and `antidominant` the
+    point top^-1 (lam0 + rho) - rho, for the trace; they list the group.
+    There is one descriptor per datum and lam0, compared by identity.
     """
 
     group: ReflectionGroup          # integral Weyl group
@@ -235,42 +246,26 @@ class BlockDescriptor:
     dominant: tuple                 # dominant point of the orbit of shifted
     y: tuple                        # vector of the shortest y (see above)
 
-    @property
-    def dominant_weight(self):
-        """The dominant point as an ambient weight, by `_to_dominant`."""
-        datum = self.group.datum
-        return _to_dominant(datum, self.group, self.lam0 + datum.rho)[0]
-
-    @property
-    def antidominant(self):
-        w0 = self.group.longest_element()
-        return w0.act(self.dominant_weight) - self.group.datum.rho
+    def listed_times_w0(self, vec):
+        """The listed element w w0, for the element w named by vec."""
+        group = self.group
+        group._materialize()
+        return group._elements[group._ids[tuple(-c for c in vec)]]
 
     @property
     def top(self):
-        group = self.group
-        group._materialize()
-        return group._elements[group._ids[tuple(-c for c in self.y)]]
+        return self.listed_times_w0(self.y)
 
-
-def _to_dominant(datum, group, mu):
-    """(dominant point of mu's orbit, reduced word of the shortest y taking
-    it to mu), by descent on an ambient weight."""
-    word = []
-    while True:
-        for i, r in enumerate(group.simples):
-            if datum.pairing(mu, r) < 0:
-                mu = datum.reflect_weight(r, mu)
-                word.append(i)
-                break
-        else:
-            return mu, word
+    @property
+    def antidominant(self):
+        rho = self.group.datum.rho
+        return self.group.act_word(self.top.word[::-1], self.lam0 + rho) - rho
 
 
 def _descend(group, vec):
-    """`_to_dominant` on a vector in the group's coordinates: the same rule
-    (reflect in the first simple with a negative pairing) reads one entry
-    per step."""
+    """(dominant point of the orbit of vec, reduced word of the shortest y
+    taking it to vec), for a vector in the group's coordinates: reflect in
+    the first simple with a negative pairing until none is left."""
     reflect = group._reflect
     word = []
     while True:
@@ -322,46 +317,39 @@ def block_descriptor(datum, lam0):
     return desc
 
 
-def _longest_taking(datum, desc, target):
-    """Longest w with w . antidominant == target, as a listed element:
-    y w0, y shortest in y W_J."""
-    group = desc.group
-    point, word = _to_dominant(datum, group, target + datum.rho)
-    if point != desc.dominant_weight:
-        return None
-    return group.mult(group.from_word(word), group.longest_element())
+def leaf_polynomial(datum, lam0, beta):
+    """(vector of y', coefficients of Q_{y,y'}) for the level-zero leaf
+    [M_{lam0} : L_{lam0 - beta}], beta integer coefficients of the simple
+    roots; None when lam0 - beta lies outside the block of lam0.
 
-
-def offset_multiplicity(datum, lam0, beta):
-    """[M_{lam0} : L_{lam0 - beta}] over the untruncated algebra (level
-    n = 0), for beta a tuple of Z>=0 coefficients of the simple roots.
-
-    lam0 - beta lies in the block of lam0 when lam0 + rho - beta has the
-    same dominant point in the coordinates of the integral Weyl group and
-    beta lies in the span of the integral simples: the two dominant points
-    then differ by a vector in that span orthogonal to every integral
-    coroot, which is zero.
+    y and y' are shortest taking the dominant point to lam0 + rho and to
+    lam0 + rho - beta, and Q_{y,y'} = P_{y' w0, y w0}.  lam0 - beta lies in
+    the block when lam0 + rho - beta has the same dominant point in the
+    coordinates of the integral Weyl group and beta lies in the span of the
+    integral simples: the two dominant points then differ by a vector in
+    that span orthogonal to every integral coroot, which is zero.
     """
-    if not any(beta):
-        return 1
     desc = block_descriptor(datum, lam0)
     if any(sum(x * b for x, b in zip(normal, beta)) for normal in desc.normals):
-        return 0
+        return None
     group = desc.group
     vec = tuple(s - sum(p * b for p, b in zip(row, beta))
                 for s, row in zip(desc.shifted, desc.pairings))
     point, word = _descend(group, vec)
     if point != desc.dominant:
-        return 0
-    y, y2 = group._ids[desc.y], group._apply(word, 0)
-    # P_{y2 w0, y w0} = Q_{y,y2}: from [y, y2], or from the column of y w0
-    # when that end is shorter
-    length, top = group.length, group.longest_length
-    if length[y2] < top - length[y]:
-        return sum(_inverse_entry(group, y, y2))
-    x = group._intern(tuple(-c for c in desc.y), top - length[y])
-    x2 = group._intern(tuple(-c for c in group._vecs[y2]), top - length[y2])
-    return sum(_column(group, x).get(x2, ()))
+        return None
+    y2 = group._apply(word, 0)
+    top = _times_w0(group, group._ids[desc.y])
+    return group._vecs[y2], _kl_coeffs(group, _times_w0(group, y2), top)
+
+
+def offset_multiplicity(datum, lam0, beta):
+    """[M_{lam0} : L_{lam0 - beta}] over the untruncated algebra (level
+    n = 0), for beta a tuple of Z>=0 coefficients of the simple roots."""
+    if not any(beta):
+        return 1
+    leaf = leaf_polynomial(datum, lam0, beta)
+    return 0 if leaf is None else sum(leaf[1])
 
 
 def base_multiplicity(datum, lam0, nu0):

@@ -581,6 +581,8 @@ class ReflectionGroup:
         self._elements = [WeylElement(self, n, words[vec])
                           for n, vec in enumerate(order)]
         self._install(order, index, [w.length for w in self._elements], lmul)
+        # w0 is the last element; this spares `longest_length` its walk
+        self.longest_length = self._elements[-1].length
 
     def elements(self):
         """All elements, sorted by (length, word); element n has index n."""

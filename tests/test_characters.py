@@ -53,6 +53,18 @@ def test_kostant_partition_rejects_negative():
     assert kostant_partition(a2, (-1, 0)) == 0
 
 
+def test_kostant_partition_rejects_a_non_integer_entry():
+    # int() used to truncate: (1/2, 0) counted as (0, 0) and (1.9, 1) as
+    # (1, 1)
+    a2 = build_root_datum("A2")
+    for beta in ((Fraction(1, 2), 0), (1.9, 1), (0, Fraction(-1, 3))):
+        with pytest.raises(ValueError, match="non-integer partition"):
+            kostant_partition(a2, beta)
+    # integer values of another type are counted as integers
+    assert kostant_partition(a2, (Fraction(2), 1.0)) == \
+        kostant_partition(a2, [2, 1]) == 2
+
+
 def test_verma_character_level_zero_is_kostant():
     a2 = build_root_datum("A2")
     ch = verma_character(a2, _tw((0, 0)), 4)

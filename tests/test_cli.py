@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from trunco import engine
 from trunco.cli import main, parse_weight, parse_word
 from trunco.root_datum import Weight, build_root_datum
 
@@ -158,3 +159,23 @@ def test_verify_suite(capsys):
     status, out = run(capsys, "verify-suite")
     assert status == 0
     assert "0 mismatches" in out
+
+
+def test_verify_suite_json_reports_a_mismatch_on_stderr(capsys, monkeypatch):
+    # one wrong engine value: exit status 3, a MISMATCH line on stderr, and
+    # stdout that is the JSON object alone
+    right = engine.multiplicity
+    calls = []
+
+    def wrong_once(query, trace=False):
+        value, node = right(query, trace)
+        calls.append(query)
+        return value + (len(calls) == 1), node
+
+    monkeypatch.setattr(engine, "multiplicity", wrong_once)
+    status = main(["verify-suite", "--json"])
+    captured = capsys.readouterr()
+    assert status == 3
+    assert json.loads(captured.out) == {"checked": len(calls), "mismatches": 1}
+    (line,) = captured.err.splitlines()
+    assert line.startswith("MISMATCH A1 n=1 ")

@@ -335,8 +335,8 @@ def test_one_offset_check_per_query(monkeypatch):
 def test_untraced_table_rebuilds_no_twist_and_no_weight_at_the_leaf(monkeypatch):
     # a zero tail twists by the empty word, so the reduction neither applies
     # it to lambda_0 nor to beta; the level-0 leaf answers from lambda_0 and
-    # beta in the integral group's coordinates, with no ambient descent and
-    # no second offset check
+    # beta in the integral group's coordinates, with no listed KL polynomial
+    # and no second offset check
     calls = collections.Counter()
 
     def counting(name, fn):
@@ -349,8 +349,10 @@ def test_untraced_table_rebuilds_no_twist_and_no_weight_at_the_leaf(monkeypatch)
                         counting("shifted_dot", engine.shifted_dot))
     monkeypatch.setattr(ReflectionGroup, "act_word_root", counting(
         "act_word_root", ReflectionGroup.act_word_root))
-    monkeypatch.setattr(kl, "_to_dominant",
-                        counting("_to_dominant", kl._to_dominant))
+    monkeypatch.setattr(kl, "kl_polynomial",
+                        counting("kl_polynomial", kl.kl_polynomial))
+    monkeypatch.setattr(kl, "base_multiplicity",
+                        counting("base_multiplicity", kl.base_multiplicity))
     monkeypatch.setattr(RootDatum, "dominance_offset", counting(
         "dominance_offset", RootDatum.dominance_offset))
     _cold()
@@ -360,12 +362,18 @@ def test_untraced_table_rebuilds_no_twist_and_no_weight_at_the_leaf(monkeypatch)
     table = multiplicity_table(a3, lam, 3)
     assert calls["shifted_dot", engine.__file__] == 0
     assert calls["act_word_root", engine.__file__] == 0
-    assert not [key for key in calls if key[0] in ("_to_dominant",
+    assert not [key for key in calls if key[0] in ("kl_polynomial",
+                                                    "base_multiplicity",
                                                     "dominance_offset")]
     assert len(table) > 1 and len(engine._VALUE_MEMO) > len(table)
-    # the traced path, unchanged, agrees entry by entry
+    # the traced path agrees entry by entry; its leaves print the leaf's own
+    # polynomial, so they compute no second one and no second offset: the
+    # one offset check per query is the query's own
     _cold()
-    for beta in cone(a3.rank, 3):
+    calls.clear()
+    betas = cone(a3.rank, 3)
+    for beta in betas:
         nu0 = zero - a3.root_weight(beta)
         query = MultiplicityQuery(a3, lam, TruncatedWeight([nu0, zero]))
         assert multiplicity(query, trace=True)[0] == table.get(nu0, 0)
+    assert calls == {("dominance_offset", engine.__file__): len(betas)}

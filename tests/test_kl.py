@@ -4,12 +4,14 @@ from fractions import Fraction
 import pytest
 
 from trunco.characters import cone
-from trunco.kl import (_column, _inverse_entry, _longest_taking,
+from trunco.engine import MultiplicityQuery, multiplicity
+from trunco.kl import (KLPolynomial, _column, _inverse_entry,
                        base_multiplicity, block_descriptor, integral_subsystem,
-                       integral_weyl_group, kl_polynomial, offset_multiplicity)
+                       integral_weyl_group, kl_polynomial, leaf_polynomial,
+                       offset_multiplicity)
 from trunco.root_datum import RootDatum, Weight, build_root_datum
 from trunco.trunc_weights import TruncatedWeight
-from trunco import oracle
+from trunco import kl, oracle
 
 from klsolver import KLSolver
 from weyl_ops import act_root, has_left_descent, inverse
@@ -94,6 +96,20 @@ def test_both_paths_agree_with_bar_involution_solver():
             assert _column(group, y.index).get(x.index, ()) == want
             assert _inverse_entry(group, group.mult(w0, y).index,
                                   group.mult(w0, x).index) == want
+
+
+def test_a_stored_column_is_read_before_the_shorter_end(monkeypatch):
+    # P_{x,w0} for every x: after the first, the stored column of w0
+    # answers, although [w0 w0, x w0] is the shorter end for x != e
+    group = RootDatum(build_root_datum("B3").cartan).weyl_group()
+    elements, w0 = group.elements(), group.longest_element()
+    assert kl_polynomial(group, elements[0], w0).coeffs == (1,)
+
+    def refuse(*args):
+        raise AssertionError("inverted with a stored column at hand")
+
+    monkeypatch.setattr(kl, "_inverse_entry", refuse)
+    assert all(kl_polynomial(group, x, w0).coeffs == (1,) for x in elements)
 
 
 def test_a_group_interned_before_it_is_listed():
@@ -220,33 +236,52 @@ DESCENT_BLOCKS = (
 )
 
 
+def _orbit_scan(datum, lam0):
+    """(antidominant point, {point: longest w with w . antidominant ==
+    point}) over the dot orbit of lam0, by a scan of the listed integral
+    Weyl group; the antidominant point is found by its pairings."""
+    group, rho = integral_weyl_group(datum, lam0), datum.rho
+    positive, _ = integral_subsystem(datum, lam0)
+    orbit = {w.act(lam0 + rho) for w in group.elements()}
+    (anti,) = [p for p in orbit
+               if all(datum.pairing(p, r) <= 0 for r in positive)]
+    taking = {}
+    for w in group.elements():
+        taking.setdefault(w.act(anti) - rho, []).append(w)
+    longest = {}
+    for point, ws in taking.items():
+        top = max(w.length for w in ws)
+        (longest[point],) = [w for w in ws if w.length == top]
+    return anti - rho, longest
+
+
 def test_longest_taking_matches_brute_force():
+    # the leaf names y' by its vector: y' w0 is the longest element taking
+    # the antidominant point to lam0 - beta, and Q_{y,y'} = P_{y' w0, y w0},
+    # against an independent solver; points outside the orbit give None
     for type_str, coords in DESCENT_BLOCKS:
         datum = build_root_datum(type_str)
         lam0 = Weight(coords)
         desc = block_descriptor(datum, lam0)
-        group, rho = desc.group, datum.rho
-        anti = desc.antidominant + rho
-        positive, _ = integral_subsystem(datum, lam0)
-        assert all(datum.pairing(anti, r) <= 0 for r in positive)
-        # the unique longest element per orbit point, by a scan of the group
-        taking = {}
-        for w in group.elements():
-            taking.setdefault(w.act(anti) - rho, []).append(w)
-        longest = {}
-        for point, ws in taking.items():
-            top = max(w.length for w in ws)
-            (longest[point],) = [w for w in ws if w.length == top]
-        assert desc.top == longest[lam0]
-        for target, w in longest.items():
-            assert _longest_taking(datum, desc, target) == w, \
-                (type_str, coords, target)
+        anti, longest = _orbit_scan(datum, lam0)
+        top = longest[lam0]
+        assert desc.antidominant == anti and desc.top == top
+        solver = KLSolver(desc.group)
+        for point, w in longest.items():
+            # above lam0 too: beta need not be Z>=0 for the descent
+            beta = datum.root_coords(lam0 - point)
+            vec, coeffs = leaf_polynomial(datum, lam0, beta)
+            assert desc.listed_times_w0(vec) == w, (type_str, coords, point)
+            assert coeffs == solver.kl(w, top), (type_str, coords, point)
         alpha = datum.root_weight(datum.simple_root(0))
-        outside = next(lam0 - m * alpha for m in range(1, 100)
+        outside = next(m for m in range(1, 100)
                        if lam0 - m * alpha not in longest)
-        assert _longest_taking(datum, desc, outside) is None
-        assert _longest_taking(datum, desc, lam0 + Weight(
-            (Fraction(1, 5),) + (0,) * (datum.rank - 1))) is None
+        assert leaf_polynomial(
+            datum, lam0, (outside,) + (0,) * (datum.rank - 1)) is None
+        for beta in cone(datum.rank, 3):
+            if lam0 - datum.root_weight(beta) not in longest:
+                assert leaf_polynomial(datum, lam0, beta) is None, \
+                    (type_str, coords, beta)
 
 
 TABLE_BLOCKS = DESCENT_BLOCKS + (
@@ -268,7 +303,11 @@ def test_group_tables_match_their_definitions():
         # the vector of w names it: a negative entry i is a left descent,
         # and w w0 is named by the negated vector
         w0 = group.longest_element()
-        assert group.longest_length == w0.length
+        # listing sets l(w0); an unlisted group walks from rho to -rho
+        unlisted = integral_weyl_group(RootDatum(group.datum.cartan),
+                                       Weight(coords))
+        assert group.longest_length == unlisted.longest_length == w0.length
+        assert unlisted._elements is None
         for w in elements:
             vec = group._vecs[w.index]
             assert group._ids[vec] == w.index
@@ -305,16 +344,10 @@ def test_base_multiplicity_matches_module_oracle():
                     dec.get(beta, 0), (type_str, coords, beta)
 
 
-def _leaf_on_the_trace_path(datum, lam0, beta):
-    """[M_{lam0} : L_{lam0 - beta}] as the trace finds it: the ambient
-    descent of `_longest_taking`, then P_{y,x}(1) on the listed group."""
-    desc = block_descriptor(datum, lam0)
-    y = _longest_taking(datum, desc, lam0 - datum.root_weight(beta))
-    return 0 if y is None else kl_polynomial(desc.group, y, desc.top)(1)
-
-
 @pytest.mark.parametrize("type_str", ["A2", "B2", "G2", "A1xA1", "A3", "B3"])
 def test_offset_leaf_matches_the_trace_path(type_str):
+    # the untraced leaf, the traced one (its value, y and kl string) and
+    # base_multiplicity against the orbit scan and an independent solver
     datum = build_root_datum(type_str)
     rng = random.Random(type_str)
     ranks, nonzero = set(), 0
@@ -326,12 +359,26 @@ def test_offset_leaf_matches_the_trace_path(type_str):
             for i in rng.sample(range(datum.rank), rng.randint(1, datum.rank)):
                 coords[i] = Fraction(rng.choice((1, 2)), rng.choice((2, 3)))
         lam0 = Weight(coords)
-        ranks.add(len(block_descriptor(datum, lam0).group.simples))
+        group = block_descriptor(datum, lam0).group
+        ranks.add(len(group.simples))
+        _, longest = _orbit_scan(datum, lam0)
+        solver = KLSolver(group)
         for beta in rng.sample(cone(datum.rank, 4), 12):
             value = offset_multiplicity(datum, lam0, beta)
             nu0 = lam0 - datum.root_weight(beta)
-            assert value == base_multiplicity(datum, lam0, nu0) == \
-                _leaf_on_the_trace_path(datum, lam0, beta), (coords, beta)
+            # [M_{lam0} : L_{nu0}] = P_{w, top}(1), by the orbit scan
+            w = longest.get(nu0)
+            want = () if w is None else solver.kl(w, longest[lam0])
+            traced, node = multiplicity(MultiplicityQuery(
+                datum, TruncatedWeight([lam0]), TruncatedWeight([nu0])),
+                trace=True)
+            assert value == traced == base_multiplicity(datum, lam0, nu0) \
+                == sum(want), (coords, beta)
+            if any(beta):
+                assert node.details["y"] == (
+                    None if w is None else list(w.word))
+                assert node.details.get("kl") == (
+                    None if w is None else str(KLPolynomial(want)))
             nonzero += bool(value) and any(beta)
     # full-rank and lower-rank integral groups, and values off the diagonal
     assert datum.rank in ranks and min(ranks) < datum.rank and nonzero
