@@ -184,6 +184,8 @@ def _kl_coeffs(group, x, y):
 
 def kl_polynomial(group, x, y):
     """The Kazhdan-Lusztig polynomial P_{x,y} for elements of `group`."""
+    if x.group is not group or y.group is not group:
+        raise ValueError("x and y must be elements of this group")
     return KLPolynomial(_kl_coeffs(group, x.index, y.index))
 
 
@@ -248,9 +250,7 @@ class BlockDescriptor:
 
     def listed_times_w0(self, vec):
         """The listed element w w0, for the element w named by vec."""
-        group = self.group
-        group._materialize()
-        return group._elements[group._ids[tuple(-c for c in vec)]]
+        return self.group._element(_times_w0(self.group, self.group._ids[vec]))
 
     @property
     def top(self):

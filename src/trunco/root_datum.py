@@ -394,10 +394,11 @@ def build_root_datum(type_str):
 
 
 class WeylElement:
-    """Listed group element carrying its index and canonical reduced word.
+    """Listed group element carrying its id and canonical reduced word.
 
-    Identity has index 0 and word ().  A listed group makes one element per
-    index and hands out only those, so elements compare and hash by identity.
+    `index` is the element's id in `ReflectionGroup`; the identity is id 0
+    with word ().  A listed group makes one element per id and hands out
+    only those, so elements compare and hash by identity.
     """
 
     __slots__ = ("group", "index", "word", "length")
@@ -413,13 +414,10 @@ class WeylElement:
             return "e"
         return "*".join("s%d" % (i + 1) for i in self.word)
 
-    def act(self, weight):
-        return self.group.act_word(self.word, weight)
-
 
 class _Images(dict):
-    """Row i of `ReflectionGroup.lmul` before the group is listed: id w ->
-    id of s_i w, filled on first lookup."""
+    """Row i of `ReflectionGroup.lmul`: id w -> id of s_i w, filled on
+    first lookup."""
 
     __slots__ = ("group", "gen")
 
@@ -449,11 +447,11 @@ class ReflectionGroup:
 
     Elements are interned on first sight as small ids: `_vecs[w]` is the
     vector of id w, `length[w]` its length, and `lmul[i][w]` the id of
-    s_i w, reflected on first lookup.  Listing the group (`elements`,
-    `from_word`, `longest_element`, `order`) numbers every element in
-    (length, word) order, so that id n is the listed element n, fills
-    `lmul` as complete lists, and drops what an earlier partial interning
-    kept by id (Bruhat intervals, KL columns).
+    s_i w, reflected on first lookup.  `layers` walks the group breadth
+    first and gives each element its canonical word.  Listing the group
+    (`elements`, `from_word`, `longest_element`) reads that walk to the end
+    and keeps every id, so what was kept by id before (Bruhat intervals,
+    KL columns) stays valid.
     """
 
     def __init__(self, datum, simples):
@@ -467,13 +465,10 @@ class ReflectionGroup:
                                for coroot in coroots)
                          for r in self.simples]
         self._reflect = self.reflector()
-        self._elements = None
+        self._elements = None           # in (length, word) order once listed
         rho = (1,) * self.num_gens
-        self._install([rho], {rho: 0}, [0],
-                      [_Images(self, i) for i in range(self.num_gens)])
-
-    def _install(self, vecs, ids, length, lmul):
-        self._vecs, self._ids, self.length, self.lmul = vecs, ids, length, lmul
+        self._vecs, self._ids, self.length = [rho], {rho: 0}, [0]
+        self.lmul = [_Images(self, i) for i in range(self.num_gens)]
         self._intervals = {0: 1}        # id y -> bitset of [e, y] over ids
         self._kl_columns = {}           # id y -> {x id: P_{x,y}}, see kl.py
 
@@ -488,6 +483,12 @@ class ReflectionGroup:
         for i in reversed(word):
             root = self.datum.reflect_root(self.simples[i], root)
         return root
+
+    def check_word(self, word):
+        """Raise ValueError unless every letter of word is a generator."""
+        if any(i not in range(self.num_gens) for i in word):
+            raise ValueError("word %r has a letter outside 0..%d"
+                             % (tuple(word), self.num_gens - 1))
 
     def reflector(self):
         """reflect(i, vec): generator i acting on a weight in the group's
@@ -541,74 +542,61 @@ class ReflectionGroup:
                 return steps
             vec, steps = self._reflect(i, vec), steps + 1
 
-    # -- listing -------------------------------------------------------
+    # -- the canonical walk and listing --------------------------------
+
+    def layers(self):
+        """The elements breadth first, one layer of (canonical word, id)
+        per length, sorted by word.  A new element takes the word
+        (i,) + word(u) of the first u in the layer before, and for that u
+        the least i, with s_i u equal to it.  The walk steps through `lmul`
+        and interns what it meets; the twisting search and listing both
+        read it."""
+        lmul = self.lmul
+        before, layer = set(), [((), 0)]
+        while layer:
+            yield layer
+            new = {}
+            for word, w in layer:
+                for i, row in enumerate(lmul):
+                    u = row[w]
+                    if u not in before and u not in new:
+                        new[u] = (i,) + word
+            before = {w for _, w in layer}
+            layer = sorted((word, u) for u, word in new.items())
 
     def _materialize(self):
         if self._elements is not None:
             return
-        # breadth first from the identity, each element keyed by its vector;
-        # a new element takes the word (i,) + word(u) of the first u in the
-        # previous layer with s_i u equal to it.  Each vector is reflected
-        # once per generator; its images lie in the layers before and after
-        # it, so they fill its lmul column once the next layer is numbered.
-        reflect = self._reflect
-        gens = range(self.num_gens)
-        rho = (1,) * self.num_gens
-        words = {rho: ()}
-        index = {rho: 0}
-        order = [rho]
-        lmul = [[] for _ in gens]
-        frontier = [rho]
-        while frontier:
-            new, rows = [], []
-            for vec in frontier:
-                row = [reflect(i, vec) for i in gens]
-                rows.append(row)
-                for i, image in enumerate(row):
-                    if image not in words:
-                        words[image] = (i,) + words[vec]
-                        new.append(image)
-            new.sort(key=words.__getitem__)
-            for vec in new:
-                index[vec] = len(order)
-                order.append(vec)
-            for row in rows:
-                for i, image in enumerate(row):
-                    lmul[i].append(index[image])
-            frontier = new
-            if len(words) > 400000:
+        elements = []
+        for layer in self.layers():
+            elements.extend(WeylElement(self, w, word) for word, w in layer)
+            if len(elements) > 400000:
                 raise ValueError("reflection group too large to materialize")
-        self._elements = [WeylElement(self, n, words[vec])
-                          for n, vec in enumerate(order)]
-        self._install(order, index, [w.length for w in self._elements], lmul)
+        # the walk has met every element, so ids run 0 .. order - 1
+        self._by_id = sorted(elements, key=lambda e: e.index)
+        self._elements = elements
         # w0 is the last element; this spares `longest_length` its walk
-        self.longest_length = self._elements[-1].length
+        self.longest_length = elements[-1].length
+
+    def _element(self, w):
+        """The listed element of id w."""
+        self._materialize()
+        return self._by_id[w]
 
     def elements(self):
-        """All elements, sorted by (length, word); element n has index n."""
+        """All elements, sorted by (length, word)."""
         self._materialize()
         return list(self._elements)
 
-    def order(self):
-        self._materialize()
-        return len(self._elements)
-
     def from_word(self, word):
-        self._materialize()
-        return self._elements[self._apply(word, 0)]
-
-    def mult(self, x, y):
-        return self._elements[self._apply(x.word, y.index)]
+        self.check_word(word)
+        return self._element(self._apply(word, 0))
 
     def longest_element(self):
         self._materialize()
         return self._elements[-1]  # the only element of the last length
 
     # -- Bruhat order -------------------------------------------------
-
-    def bruhat_leq(self, x, y):
-        """Bruhat order: x lies in the interval [e, y]."""
-        return bool(self._interval(y.index) >> x.index & 1)
 
     def _interval(self, y):
         # [e, y] = [e, sy] | s[e, sy] for a left descent s of y, as a bitset

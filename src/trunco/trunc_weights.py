@@ -79,36 +79,29 @@ def find_twisting_word(datum, mu):
     """Minimal-length w with the singular roots of w(mu) a standard Levi.
 
     Returns (word of w, J).  Ties are broken by lexicographically least
-    canonical word.  The group is searched layer by layer with the discovery
-    rule of `ReflectionGroup.elements` (each layer sorted by word, each
-    element reflected by the generators in ascending order), carrying the
-    pair (w(rho), w(mu)), so the word found is w's canonical word and nothing
-    past the first layer with a hit is visited.  Along the way the chain
-    condition is checked: each reflection in the word pairs nontrivially with
-    the partially twisted weight, so the twist is a composition of
-    reflections in nonsingular roots.
+    canonical word: the Weyl group's walk `ReflectionGroup.layers` gives
+    each layer sorted by canonical word, and w(mu) is carried along it with
+    one reflection per element, so nothing past the first layer with a hit
+    is visited.  Along the way the chain condition is checked: each
+    reflection in the word pairs nontrivially with the partially twisted
+    weight, so the twist is a composition of reflections in nonsingular
+    roots.
     """
     datum.check_rank(mu)
-    reflect = datum.weyl_group().reflector()
-    gens = range(datum.rank)
-    layer = [((), datum.rho.coords, mu.coords)]
-    before = set()
-    while layer:
-        for word, _, nu in layer:
+    group = datum.weyl_group()
+    reflect, lmul = group.reflector(), group.lmul
+    before = {}                         # id u -> u(mu), over the layer before
+    for layer in group.layers():
+        images = {}
+        for word, w in layer:
+            # w = s_i u for the first letter i of its word
+            nu = images[w] = (reflect(word[0], before[lmul[word[0]][w]])
+                              if word else mu.coords)
             j = _singular_levi(datum, nu)
             if j is not None:
                 _check_chain_condition(datum, word, mu)
                 return word, j
-        # s_i w is one longer or one shorter than w; the shorter ones are
-        # in the layer before
-        new = {}
-        for word, vec, nu in layer:
-            for i in gens:
-                image = reflect(i, vec)
-                if image not in before and image not in new:
-                    new[image] = ((i,) + word, image, reflect(i, nu))
-        before = {vec for _, vec, _ in layer}
-        layer = sorted(new.values())
+        before = images
     raise RuntimeError("no twisting word found")
 
 
@@ -137,6 +130,7 @@ def n_dot(datum, word, lam):
     level n: `shifted_dot` on component zero, the plain action on the
     others."""
     datum.check_rank(lam[0])
+    datum.weyl_group().check_word(word)
     n = lam.level
     act = datum.weyl_group().act_word
     comps = [shifted_dot(datum, word, lam[0], n)]

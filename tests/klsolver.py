@@ -13,7 +13,7 @@ vanishing of R rather than taken from the library.
 
 from fractions import Fraction
 
-from weyl_ops import generator, has_left_descent, left_descent
+from weyl_ops import generator, has_left_descent, left_descent, mult
 
 
 def _trim(coeffs):
@@ -60,8 +60,8 @@ class KLSolver:
         g = self.group
         s = left_descent(y)
         gen = generator(g, s)
-        sy = g.mult(gen, y)
-        sx = g.mult(gen, x)
+        sy = mult(g, gen, y)
+        sx = mult(g, gen, x)
         if has_left_descent(g, x, s):
             out = self._r(sx, sy)
         else:

@@ -9,6 +9,8 @@ into one test on coordinate tuples and searches the group layer by layer
 without listing it.
 """
 
+from weyl_ops import act
+
 
 def singular_roots(datum, mu):
     """Positive roots alpha with <mu, alpha^vee> = 0."""
@@ -37,7 +39,7 @@ def twisting_word(datum, mu):
     """(canonical word of the first w in (length, word) order with the
     singular roots of w(mu) a standard Levi, J)."""
     for w in datum.weyl_group().elements():
-        j = standard_levi(datum, singular_roots(datum, w.act(mu)))
+        j = standard_levi(datum, singular_roots(datum, act(w, mu)))
         if j is not None:
             return w.word, j
     raise RuntimeError("no twisting word found")

@@ -96,3 +96,26 @@ def test_chevalley_basis_of_dropped_data():
             d = _fresh(type_str)
             assert ChevalleyBasis.get(d).datum.cartan == d.cartan, type_str
             del d
+
+
+def test_a_traced_leaf_keeps_the_columns_untraced_queries_made(monkeypatch):
+    # a traced level-0 leaf lists its integral Weyl group; listing keeps the
+    # KL columns and Bruhat intervals that untraced queries interned by id,
+    # so the next untraced table computes no column again
+    monkeypatch.delitem(RootDatum._interned, build_root_datum("B3").key)
+    monkeypatch.setattr(engine, "_VALUE_MEMO", {})
+    b3 = build_root_datum("B3")                 # a fresh interned datum
+    zero = Weight((0, 0, 0))
+    lam = TruncatedWeight((zero, zero))
+    table = engine.multiplicity_table(b3, lam, 3)
+    group = kl.integral_weyl_group(b3, zero)
+    assert group._elements is None
+    columns, intervals = dict(group._kl_columns), dict(group._intervals)
+    assert (len(columns), len(intervals)) == (8, 8)
+    nu = TruncatedWeight((zero - b3.root_weight((1, 0, 0)), zero))
+    engine.multiplicity(MultiplicityQuery(b3, lam, nu), trace=True)
+    assert group._elements is not None, "the traced leaf lists the group"
+    assert group._kl_columns == columns and group._intervals == intervals
+    engine._VALUE_MEMO.clear()
+    assert engine.multiplicity_table(b3, lam, 3) == table
+    assert group._kl_columns == columns

@@ -14,7 +14,8 @@ from trunco.trunc_weights import TruncatedWeight
 from trunco import kl, oracle
 
 from klsolver import KLSolver
-from weyl_ops import act_root, has_left_descent, inverse
+from weyl_ops import (act, act_root, bruhat_leq, has_left_descent, inverse,
+                      mult, order)
 
 
 def test_kl_trivial_pairs():
@@ -25,13 +26,24 @@ def test_kl_trivial_pairs():
     assert kl_polynomial(group, w0, s1).coeffs == ()
 
 
+def test_kl_polynomial_refuses_an_element_of_another_group():
+    # ids are per group: W(B2)'s element 5 would read as an id of W(A2)
+    a2 = build_root_datum("A2").weyl_group()
+    b2 = build_root_datum("B2").weyl_group()
+    stranger = b2.elements()[5]
+    with pytest.raises(ValueError, match="elements of this group"):
+        kl_polynomial(a2, stranger, a2.longest_element())
+    with pytest.raises(ValueError, match="elements of this group"):
+        kl_polynomial(a2, a2.longest_element(), b2.longest_element())
+
+
 def test_kl_rank_two_all_one():
     for t in ("A2", "B2", "G2"):
         group = build_root_datum(t).weyl_group()
         for x in group.elements():
             for y in group.elements():
                 p = kl_polynomial(group, x, y)
-                if group.bruhat_leq(x, y):
+                if bruhat_leq(group, x, y):
                     assert p.coeffs == (1,)
                 else:
                     assert p.coeffs == ()
@@ -79,8 +91,8 @@ def test_inversion_and_column_paths_agree():
         w0 = group.longest_element()
         for x, y in _sample_pairs(group, count, rng):
             direct = _column(group, y.index).get(x.index, ())
-            inverted = _inverse_entry(group, group.mult(w0, y).index,
-                                      group.mult(w0, x).index)
+            inverted = _inverse_entry(group, mult(group, w0, y).index,
+                                      mult(group, w0, x).index)
             assert inverted == direct, (type_str, x, y)
             assert kl_polynomial(group, x, y).coeffs == direct
 
@@ -94,8 +106,8 @@ def test_both_paths_agree_with_bar_involution_solver():
         for x, y in _sample_pairs(group, count, rng):
             want = solver.kl(x, y)
             assert _column(group, y.index).get(x.index, ()) == want
-            assert _inverse_entry(group, group.mult(w0, y).index,
-                                  group.mult(w0, x).index) == want
+            assert _inverse_entry(group, mult(group, w0, y).index,
+                                  mult(group, w0, x).index) == want
 
 
 def test_a_stored_column_is_read_before_the_shorter_end(monkeypatch):
@@ -114,9 +126,10 @@ def test_a_stored_column_is_read_before_the_shorter_end(monkeypatch):
 
 def test_a_group_interned_before_it_is_listed():
     # base_multiplicity names elements of a fresh group by their vectors, in
-    # no length order, without listing it.  Listing it afterwards renumbers
-    # it in (length, word) order; the lengths found lazily, the values, and
-    # the KL polynomials of the listed elements must all hold up.
+    # no length order, without listing it.  Listing it afterwards keeps
+    # every id: each names the same vector and length, the KL columns and
+    # Bruhat intervals kept by id stay, and the values and the KL
+    # polynomials of the listed elements must all hold up.
     rng = random.Random(31)
     for type_str, count in (("B3", 60), ("A4", 40), ("D4", 30), ("F4", 8)):
         interned = build_root_datum(type_str)
@@ -126,24 +139,29 @@ def test_a_group_interned_before_it_is_listed():
         group, rho = integral_weyl_group(datum, zero), datum.rho
         values = {}
         for x, y in _sample_pairs(listed, count, rng):
-            lam0, nu0 = x.act(rho) - rho, y.act(rho) - rho
+            lam0, nu0 = act(x, rho) - rho, act(y, rho) - rho
             values[x.word, y.word] = base_multiplicity(datum, lam0, nu0)
         assert group._elements is None
-        lazy = dict(zip(group._vecs, group.length))
+        lazy = list(zip(group._vecs, group.length))
+        columns, intervals = dict(group._kl_columns), dict(group._intervals)
+        assert columns and len(intervals) > 1, type_str
         assert group.length != sorted(group.length), type_str
         elements = group.elements()
-        assert [w.index for w in elements] == list(range(group.order()))
+        assert sorted(w.index for w in elements) == list(range(len(elements)))
         assert [w.word for w in elements] == \
             [w.word for w in listed.elements()]
-        for vec, length in lazy.items():
-            assert group.length[group._ids[vec]] == length, (type_str, vec)
+        assert list(zip(group._vecs, group.length))[:len(lazy)] == lazy
+        for w in elements:
+            assert group._apply(w.word, 0) == w.index, (type_str, w)
+        assert all(group._kl_columns[y] is c for y, c in columns.items())
+        assert all(group._intervals[y] == b for y, b in intervals.items())
         solver = KLSolver(group)
         w0 = group.longest_element()
         for (x_word, y_word), value in values.items():
             x, y = group.from_word(x_word), group.from_word(y_word)
-            lam0, nu0 = x.act(rho) - rho, y.act(rho) - rho
+            lam0, nu0 = act(x, rho) - rho, act(y, rho) - rho
             # [M_{x.0} : L_{y.0}] = P_{y w0, x w0}(1)
-            top, below = group.mult(x, w0), group.mult(y, w0)
+            top, below = mult(group, x, w0), mult(group, y, w0)
             p = kl_polynomial(group, below, top)
             assert p.coeffs == solver.kl(below, top), (type_str, x, y)
             assert p(1) == value == base_multiplicity(datum, lam0, nu0), \
@@ -183,7 +201,7 @@ def test_integral_subsystem_rejects_a_rank_mismatch():
 def test_block_descriptor_regular_integral():
     a2 = build_root_datum("A2")
     desc = block_descriptor(a2, Weight((0, 0)))
-    assert desc.group.order() == 6
+    assert order(desc.group) == 6
     assert desc.antidominant == Weight((-2, -2))
 
 
@@ -216,7 +234,7 @@ def test_base_multiplicity_regular_a2_block():
     lam = Weight((0, 0))
     desc = block_descriptor(a2, lam)
     anti = desc.antidominant
-    orbit = [w.act(anti + a2.rho) - a2.rho for w in desc.group.elements()]
+    orbit = [act(w, anti + a2.rho) - a2.rho for w in desc.group.elements()]
     total = sum(base_multiplicity(a2, lam, nu) for nu in orbit)
     # one simple for each of the six Weyl chamber positions
     assert total == 6
@@ -242,12 +260,12 @@ def _orbit_scan(datum, lam0):
     Weyl group; the antidominant point is found by its pairings."""
     group, rho = integral_weyl_group(datum, lam0), datum.rho
     positive, _ = integral_subsystem(datum, lam0)
-    orbit = {w.act(lam0 + rho) for w in group.elements()}
+    orbit = {act(w, lam0 + rho) for w in group.elements()}
     (anti,) = [p for p in orbit
                if all(datum.pairing(p, r) <= 0 for r in positive)]
     taking = {}
     for w in group.elements():
-        taking.setdefault(w.act(anti) - rho, []).append(w)
+        taking.setdefault(act(w, anti) - rho, []).append(w)
     longest = {}
     for point, ws in taking.items():
         top = max(w.length for w in ws)
@@ -299,7 +317,7 @@ def test_group_tables_match_their_definitions():
     for type_str, coords in TABLE_BLOCKS:
         group = integral_weyl_group(build_root_datum(type_str), Weight(coords))
         elements = group.elements()
-        assert [w.index for w in elements] == list(range(group.order()))
+        assert sorted(w.index for w in elements) == list(range(order(group)))
         # the vector of w names it: a negative entry i is a left descent,
         # and w w0 is named by the negated vector
         w0 = group.longest_element()
@@ -311,7 +329,7 @@ def test_group_tables_match_their_definitions():
         for w in elements:
             vec = group._vecs[w.index]
             assert group._ids[vec] == w.index
-            assert group._vecs[group.mult(w, w0).index] == \
+            assert group._vecs[mult(group, w, w0).index] == \
                 tuple(-c for c in vec)
             for i, simple in enumerate(group.simples):
                 negative = all(c <= 0 for c in act_root(inverse(w), simple))
@@ -320,13 +338,13 @@ def test_group_tables_match_their_definitions():
                 assert (vec[i] < 0) == negative
         for _ in range(200):
             x, y = rng.choice(elements), rng.choice(elements)
-            assert group.mult(x, y) is group.from_word(x.word + y.word)
+            assert mult(group, x, y) is group.from_word(x.word + y.word)
     for type_str in ("A3", "B3"):
         group = build_root_datum(type_str).weyl_group()
         solver = KLSolver(group)
         for x in group.elements():
             for y in group.elements():
-                assert group.bruhat_leq(x, y) == solver.leq(x, y), \
+                assert bruhat_leq(group, x, y) == solver.leq(x, y), \
                     (type_str, x, y)
 
 

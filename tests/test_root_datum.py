@@ -11,7 +11,7 @@ from fractions import Fraction
 
 from trunco.root_datum import CartanType, RootDatum, Weight, build_root_datum
 
-from weyl_ops import act_root, identity, inverse
+from weyl_ops import act, act_root, bruhat_leq, identity, inverse, order
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
@@ -62,7 +62,7 @@ def test_identity_word_acts_trivially():
     datum = build_root_datum("B2")
     group = datum.weyl_group()
     v = Weight((Fraction(3, 2), Fraction(-1)))
-    assert identity(group).act(v) == v
+    assert act(identity(group), v) == v
 
 
 def test_inverse_word_round_trip():
@@ -75,7 +75,7 @@ def test_inverse_word_round_trip():
             w = rng.choice(elements)
             v = Weight(tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 4))
                              for _ in range(datum.rank)))
-            assert inverse(w).act(w.act(v)) == v
+            assert act(inverse(w), act(w, v)) == v
 
 
 def test_length_counts_inversions():
@@ -92,7 +92,14 @@ def test_length_counts_inversions():
 def test_longest_element():
     group = build_root_datum("A2").weyl_group()
     assert group.longest_element().length == 3
-    assert group.order() == 6
+    assert order(group) == 6
+
+
+def test_from_word_refuses_a_letter_outside_the_generators():
+    group = build_root_datum("A2").weyl_group()
+    for word in ((-1,), (2,), (0, 5, 1)):
+        with pytest.raises(ValueError, match="outside 0..1"):
+            group.from_word(word)
 
 
 def test_bruhat_examples():
@@ -102,10 +109,10 @@ def test_bruhat_examples():
     s1s2 = group.from_word((0, 1))
     s2s1 = group.from_word((1, 0))
     for w in group.elements():
-        assert group.bruhat_leq(e, w)
-        assert group.bruhat_leq(w, w)
-    assert group.bruhat_leq(s1, s1s2)
-    assert not group.bruhat_leq(s2s1, s1s2)
+        assert bruhat_leq(group, e, w)
+        assert bruhat_leq(group, w, w)
+    assert bruhat_leq(group, s1, s1s2)
+    assert not bruhat_leq(group, s2s1, s1s2)
 
 
 def test_bruhat_is_a_partial_order():
@@ -114,20 +121,20 @@ def test_bruhat_is_a_partial_order():
         elements = group.elements()
         for x in elements:
             for y in elements:
-                if group.bruhat_leq(x, y) and group.bruhat_leq(y, x):
+                if bruhat_leq(group, x, y) and bruhat_leq(group, y, x):
                     assert x == y
         rng = random.Random(1)
         for _ in range(300):
             x, y, z = (rng.choice(elements) for _ in range(3))
-            if group.bruhat_leq(x, y) and group.bruhat_leq(y, z):
-                assert group.bruhat_leq(x, z)
+            if bruhat_leq(group, x, y) and bruhat_leq(group, y, z):
+                assert bruhat_leq(group, x, z)
 
 
 def test_bruhat_respects_length():
     group = build_root_datum("B2").weyl_group()
     for x in group.elements():
         for y in group.elements():
-            if group.bruhat_leq(x, y):
+            if bruhat_leq(group, x, y):
                 assert x.length <= y.length or x == y
 
 

@@ -9,7 +9,7 @@ from trunco.trunc_weights import (TruncatedWeight, _singular_levi,
                                   find_twisting_word, n_dot, same_block)
 
 from levi_reference import singular_roots, standard_levi, twisting_word
-from weyl_ops import act_root
+from weyl_ops import act, act_root, mult
 
 
 def _tw(*coords):
@@ -63,7 +63,7 @@ def test_singular_roots_equivariance():
                     if any(c < 0 for c in v):
                         v = tuple(-c for c in v)
                     image.add(v)
-                assert image == set(singular_roots(datum, w.act(mu)))
+                assert image == set(singular_roots(datum, act(w, mu)))
 
 
 def test_standard_levi():
@@ -100,7 +100,7 @@ def test_find_twisting_word_is_minimal():
             best = min(
                 v.length for v in group.elements()
                 if standard_levi(datum,
-                                 singular_roots(datum, v.act(mu))) is not None)
+                                 singular_roots(datum, act(v, mu))) is not None)
             assert len(w) == best
 
 
@@ -154,6 +154,14 @@ def test_n_dot_levels():
     assert image[1] == Weight((-1,))
 
 
+def test_n_dot_refuses_a_letter_outside_the_generators():
+    a2 = build_root_datum("A2")
+    lam = _tw((1, 0), (0, 1))
+    for word in ((-1,), (2,)):
+        with pytest.raises(ValueError, match="outside 0..1"):
+            n_dot(a2, word, lam)
+
+
 def test_n_dot_is_a_group_action():
     rng = random.Random(11)
     for t in ("A2", "B2"):
@@ -165,7 +173,7 @@ def test_n_dot_is_a_group_action():
             lam = _tw(*(tuple(Fraction(rng.randint(-6, 6), rng.randint(1, 3))
                               for _ in range(datum.rank))
                         for _ in range(rng.randint(1, 3))))
-            lhs = n_dot(datum, group.mult(w1, w2).word, lam)
+            lhs = n_dot(datum, mult(group, w1, w2).word, lam)
             rhs = n_dot(datum, w1.word, n_dot(datum, w2.word, lam))
             assert lhs == rhs
 

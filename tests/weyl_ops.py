@@ -29,3 +29,22 @@ def left_descent(w):
 
 def has_left_descent(group, w, i):
     return group.length[group.lmul[i][w.index]] < w.length
+
+
+def act(w, weight):
+    """w applied to a weight in fundamental-weight coordinates."""
+    return w.group.act_word(w.word, weight)
+
+
+def mult(group, x, y):
+    """The listed element x y, read off the `lmul` rows from y's id."""
+    return group._element(group._apply(x.word, y.index))
+
+
+def order(group):
+    return len(group.elements())
+
+
+def bruhat_leq(group, x, y):
+    """Bruhat order: x lies in the interval [e, y]."""
+    return bool(group._interval(y.index) >> x.index & 1)
