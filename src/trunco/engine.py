@@ -103,7 +103,7 @@ def _base_case(datum, lam0, beta, trace):
         return 1, MultiplicityTrace("base", 1, details)
     desc = kl.block_descriptor(datum, lam0)
     details.update({
-        "integral_simples": [list(r) for r in desc.group.simples],
+        "integral_simples": [list(r) for r in desc.simples],
         "antidominant": str(desc.antidominant),
         "x": list(desc.top.word),
         "y": None,

@@ -7,7 +7,9 @@ cosets modulo the dot-action stabilizer,
     [M_{x.lambda-} : L_{y.lambda-}] = P_{y,x}(1).
 
 Non-integral highest weights are handled by passing to the subsystem of
-roots with integral pairing.  Writing x = y w0 and y = y' w0 with y and y'
+roots with integral pairing: its Weyl group is the `ReflectionGroup` of its
+own Cartan matrix, and `BlockDescriptor` alone keeps how it sits in the
+ambient datum.  Writing x = y w0 and y = y' w0 with y and y'
 shortest in their cosets, the value is P_{y' w0, y w0}(1) = Q_{y,y'}(1), the
 inverse KL polynomial of `leaf_polynomial`.  `_kl_coeffs` reads it from a
 stored column of y w0, else from the shorter end: [y, y'] by the inversion
@@ -216,30 +218,35 @@ def integral_subsystem(datum, lam0):
 
 
 def integral_weyl_group(datum, lam0):
-    """The datum's reflection group on the integral simples of lam0."""
-    return datum.reflection_group(integral_subsystem(datum, lam0)[1])
+    """The integral Weyl group of lam0 (see `BlockDescriptor`)."""
+    return block_descriptor(datum, lam0).group
 
 
 @dataclass(eq=False)
 class BlockDescriptor:
     """The level-zero block through lam0, as the KL layer answers it.
 
-    Vectors are in the coordinates of the integral Weyl group `group`: a
-    weight v is the tuple of its pairings <v, beta_j^vee> with the integral
-    simple coroots.  `shifted` is lam0 + rho so written, `dominant` the
-    dominant point of its orbit, and `y` the vector (see `ReflectionGroup`)
-    of the shortest y taking that point to lam0 + rho; the longest w with
-    w . antidominant == lam0 is then y w0.  For an offset beta in simple
-    roots, nu_0 + rho = lam0 + rho - beta is `shifted` minus the integer
-    product `pairings` . beta, with pairings[j][k] = <alpha_k, beta_j^vee>.
-    Those coordinates forget the part of beta outside the span of the
-    integral simples, which `normals` detects: integer vectors whose dot
-    products vanish exactly on that span (none when the group has full
-    rank).  `top` gives y w0 as a listed element and `antidominant` the
-    point top^-1 (lam0 + rho) - rho, for the trace; they list the group.
-    There is one descriptor per datum and lam0, compared by identity.
+    The one place that knows how the integral subsystem of lam0 sits in the
+    ambient `datum`: `simples` are its simple roots beta_j in the datum's
+    root coordinates, and `group` the Weyl group of its Cartan matrix
+    <beta_k, beta_j^vee>.  Vectors are in the group's coordinates: a weight
+    v is the tuple of its pairings <v, beta_j^vee>.  `shifted` is lam0 +
+    rho so written, `dominant` the dominant point of its orbit, and `y` the
+    vector (see `ReflectionGroup`) of the shortest y taking that point to
+    lam0 + rho; the longest w with w . antidominant == lam0 is then y w0.
+    For an offset beta in simple roots, nu_0 + rho = lam0 + rho - beta is
+    `shifted` minus the integer product `pairings` . beta, with
+    pairings[j][k] = <alpha_k, beta_j^vee>.  Those coordinates forget the
+    part of beta outside the span of the integral simples, which `normals`
+    detects: integer vectors whose dot products vanish exactly on that span
+    (none when the group has full rank).  `top` gives y w0 as a listed
+    element and `antidominant` the point top^-1 (lam0 + rho) - rho, for the
+    trace; they list the group.  There is one descriptor per datum and
+    lam0, compared by identity.
     """
 
+    datum: object                   # the ambient RootDatum
+    simples: tuple                  # integral simples, ambient root coordinates
     group: ReflectionGroup          # integral Weyl group
     lam0: Weight
     shifted: tuple                  # lam0 + rho, group coordinates
@@ -258,22 +265,13 @@ class BlockDescriptor:
 
     @property
     def antidominant(self):
-        rho = self.group.datum.rho
-        return self.group.act_word(self.top.word[::-1], self.lam0 + rho) - rho
-
-
-def _descend(group, vec):
-    """(dominant point of the orbit of vec, reduced word of the shortest y
-    taking it to vec), for a vector in the group's coordinates: reflect in
-    the first simple with a negative pairing until none is left."""
-    reflect = group._reflect
-    word = []
-    while True:
-        i = next((i for i, c in enumerate(vec) if c < 0), None)
-        if i is None:
-            return vec, word
-        vec = reflect(i, vec)
-        word.append(i)
+        # s_i v = v - <v, beta_i^vee> beta_i, the pairing read off the
+        # group's coordinates and beta_i subtracted in the datum's
+        weight, vec = self.lam0, self.shifted
+        for i in self.top.word:
+            weight = weight - vec[i] * self.datum.root_weight(self.simples[i])
+            vec = self.group.reflect(i, vec)
+        return weight
 
 
 def _span_normals(simples, rank):
@@ -300,19 +298,22 @@ def block_descriptor(datum, lam0):
     and lam0, built on first use."""
     desc = datum._descriptors.get(lam0)
     if desc is None:
-        group = integral_weyl_group(datum, lam0)
+        simples = tuple(integral_subsystem(datum, lam0)[1])
         lam_rho = lam0 + datum.rho
         # integral by the choice of simples
-        shifted = tuple(int(datum.pairing(lam_rho, r)) for r in group.simples)
+        shifted = tuple(int(datum.pairing(lam_rho, r)) for r in simples)
         columns = tuple(zip(*datum.cartan))     # alpha_k, weight coordinates
         pairings = tuple(
             tuple(sum(c * a for c, a in zip(datum.coroot_coords(r), column))
                   for column in columns)
-            for r in group.simples)
-        dominant, word = _descend(group, shifted)
+            for r in simples)
+        group = datum.reflection_group(
+            [[sum(p * b for p, b in zip(row, beta)) for beta in simples]
+             for row in pairings])
+        dominant, word = group.descend(shifted)
         desc = datum._descriptors[lam0] = BlockDescriptor(
-            group, lam0, shifted, pairings,
-            _span_normals(group.simples, datum.rank), dominant,
+            datum, simples, group, lam0, shifted, pairings,
+            _span_normals(simples, datum.rank), dominant,
             group._vecs[group._apply(word, 0)])
     return desc
 
@@ -335,7 +336,7 @@ def leaf_polynomial(datum, lam0, beta):
     group = desc.group
     vec = tuple(s - sum(p * b for p, b in zip(row, beta))
                 for s, row in zip(desc.shifted, desc.pairings))
-    point, word = _descend(group, vec)
+    point, word = group.descend(vec)
     if point != desc.dominant:
         return None
     y2 = group._apply(word, 0)

@@ -219,7 +219,7 @@ class TruncatedModule:
             self.position[mono] = len(space)
             space.append(mono)
             if len(self.position) > MAX_TOTAL_DIMENSION:
-                raise MemoryError("truncated Verma module exceeds size budget")
+                raise ValueError("truncated Verma module exceeds size budget")
             for pos in range(start, len(gens)):
                 gen, root, h = gens[pos]
                 if ht + h > depth:

@@ -18,6 +18,7 @@ translates from the 1-based labels used on the command line.
 
 from __future__ import annotations
 
+import collections
 import functools
 import math
 import re
@@ -168,31 +169,25 @@ class Weight:
 
 
 def _root_closure(cartan):
-    """All positive roots of a finite Cartan matrix, in root coordinates."""
+    """All positive roots of a finite Cartan matrix, in root coordinates.
+
+    A positive root beta that is not simple pairs positively with some
+    alpha_i^vee, and s_i beta is then a lower positive root; so every
+    positive root is reached from the simple ones by raising reflections,
+    those s_i with <beta, alpha_i^vee> < 0.
+    """
     rank = len(cartan)
-    simples = [tuple(int(i == j) for j in range(rank)) for i in range(rank)]
-    roots = set(simples)
-    frontier = set(simples)
+    roots = {tuple(int(i == j) for j in range(rank)) for i in range(rank)}
+    frontier = list(roots)
     while frontier:
-        new = set()
-        for beta in frontier:
-            for i in range(rank):
-                # root string through beta in the alpha_i direction
-                p = 0
-                down = beta
-                while True:
-                    down = tuple(c - int(k == i) for k, c in enumerate(down))
-                    if down in roots:
-                        p += 1
-                    else:
-                        break
-                pair = sum(cartan[i][j] * beta[j] for j in range(rank))
-                if p - pair > 0:
-                    up = tuple(c + int(k == i) for k, c in enumerate(beta))
-                    if up not in roots:
-                        new.add(up)
-        roots |= new
-        frontier = new
+        beta = frontier.pop()
+        for i, row in enumerate(cartan):
+            pair = sum(a * b for a, b in zip(row, beta))
+            if pair < 0:
+                up = beta[:i] + (beta[i] - pair,) + beta[i + 1:]
+                if up not in roots:
+                    roots.add(up)
+                    frontier.append(up)
         if len(roots) > 10000:
             raise ValueError("Cartan matrix is not of finite type")
     return sorted(roots, key=lambda r: (sum(r), r))
@@ -203,10 +198,11 @@ class RootDatum:
 
     `build_root_datum` and `sub_datum` return the one interned datum of a
     Cartan matrix, which owns the tables the matrix determines: reflection
-    groups (one per ordered simple system), Kostant partitions, and the
-    per-block work of the engine and the KL layer (twisting words, block
-    plans, block descriptors).  A datum built by `RootDatum(cartan)` is not
-    interned and shares none of these.
+    groups (one per Cartan matrix: its own, and those of the integral
+    subsystems of its blocks), Kostant partitions, and the per-block work of
+    the engine and the KL layer (twisting words, block plans, block
+    descriptors).  A datum built by `RootDatum(cartan)` is not interned and
+    shares none of these.
     """
 
     _interned = {}
@@ -216,7 +212,7 @@ class RootDatum:
         self.rank = len(self.cartan)
         self.positive_roots = _root_closure(self.cartan)
         self.symmetrizer = self._solve_symmetrizer()
-        self._coroots, self._root_weights = self._root_tables()
+        self._coroots = self._root_tables()
         ech, pivots = linalg.row_echelon(
             [row + self.simple_root(i) for i, row in enumerate(self.cartan)])
         if pivots != list(range(self.rank)):
@@ -269,9 +265,8 @@ class RootDatum:
         return tuple(int(x * scale) for x in d)
 
     def _root_tables(self):
-        # alpha^vee = sum_j (2 alpha_j d_j / (alpha, alpha)) alpha_j^vee; the
-        # second table holds each root in fundamental-weight coordinates
-        table, weights = {}, {}
+        # alpha^vee = sum_j (2 alpha_j d_j / (alpha, alpha)) alpha_j^vee
+        table = {}
         for root in self.positive_roots:
             sq = self.norm_sq(root)
             twice = [2 * rj * dj for dj, rj in zip(self.symmetrizer, root)]
@@ -280,10 +275,7 @@ class RootDatum:
             coroot = tuple(t // sq for t in twice)
             table[root] = coroot
             table[tuple(-c for c in root)] = tuple(-c for c in coroot)
-            weight = tuple(sum(a * r for a, r in zip(row, root)) for row in self.cartan)
-            weights[root] = weight
-            weights[tuple(-c for c in root)] = tuple(-c for c in weight)
-        return table, weights
+        return table
 
     @property
     def key(self):
@@ -329,16 +321,6 @@ class RootDatum:
         """<weight, root^vee> for a (possibly negative) root."""
         return sum(c * w for c, w in zip(self.coroot_coords(root), weight.coords))
 
-    def reflect_weight(self, root, weight):
-        pair = self.pairing(weight, root)
-        return Weight(tuple(w - pair * r for w, r in
-                            zip(weight.coords, self._root_weights[root])))
-
-    def reflect_root(self, root, other):
-        pair = sum(c * sum(a * o for a, o in zip(row, other))
-                   for c, row in zip(self.coroot_coords(root), self.cartan))
-        return tuple(o - pair * r for o, r in zip(other, root))
-
     def check_rank(self, *weights):
         """Raise ValueError unless every weight has `rank` coordinates."""
         for weight in weights:
@@ -370,18 +352,17 @@ class RootDatum:
             return None
         return coords
 
-    def reflection_group(self, simples):
-        """The group generated by reflections in `simples`, numbered in
-        their order; one per ordered simple system."""
-        key = tuple(tuple(s) for s in simples)
+    def reflection_group(self, cartan):
+        """The Weyl group of a Cartan matrix, one per matrix."""
+        key = tuple(tuple(row) for row in cartan)
         group = self._groups.get(key)
         if group is None:
-            group = self._groups[key] = ReflectionGroup(self, key)
+            group = self._groups[key] = ReflectionGroup(key)
         return group
 
     @functools.cached_property
     def _weyl_group(self):
-        return self.reflection_group(self.simple_root(i) for i in range(self.rank))
+        return self.reflection_group(self.cartan)
 
     def weyl_group(self):
         return self._weyl_group
@@ -429,17 +410,16 @@ class _Images(dict):
 
 
 class ReflectionGroup:
-    """Finite reflection group generated by reflections in chosen roots.
+    """The Weyl group of a finite Cartan matrix, which alone fixes it.
 
-    `simples` are roots of the ambient datum (root coordinates) forming a
-    simple system for the subsystem.  The full Weyl group is the special
-    case where these are the ambient simples.
-
-    The group works in its own coordinates: a weight v is the tuple of its
-    pairings <v, beta_j^vee> with the simple coroots; for the Weyl group of
-    the datum these are the fundamental-weight coordinates.  There rho_J,
-    half the sum of the group's positive roots, is (1, ..., 1), and it is
-    regular, so an element w is named by the integer vector w(rho_J):
+    The group acts in its own coordinates only: a weight v is the tuple of
+    its pairings <v, beta_j^vee> with the simple coroots (`act_word`), a
+    root the tuple of its coefficients in the simple roots
+    (`act_word_root`).  For the Weyl group of a datum these are the datum's
+    fundamental-weight and root coordinates; how an integral subsystem sits
+    in its datum is kept by `kl.BlockDescriptor`.  There rho_J, half the
+    sum of the group's positive roots, is (1, ..., 1), and it is regular,
+    so an element w is named by the integer vector w(rho_J):
 
     - s_i is a left descent of w exactly when entry i of w(rho_J) is
       negative, and then s_i w is one shorter than w, else one longer;
@@ -451,20 +431,22 @@ class ReflectionGroup:
     first and gives each element its canonical word.  Listing the group
     (`elements`, `from_word`, `longest_element`) reads that walk to the end
     and keeps every id, so what was kept by id before (Bruhat intervals,
-    KL columns) stays valid.
+    KL columns) stays valid.  Listing a group whose `order` exceeds 400000
+    is refused before the walk starts.
     """
 
-    def __init__(self, datum, simples):
-        self.datum = datum
-        self.simples = [tuple(s) for s in simples]
-        self.num_gens = len(self.simples)
-        # s_i v = v - v[i] mirrors[i]; mirrors[i][j] = <beta_i, beta_j^vee>
-        coroots = [datum.coroot_coords(r) for r in self.simples]
-        self._mirrors = [tuple(sum(c * w for c, w in
-                                   zip(coroot, datum._root_weights[r]))
-                               for coroot in coroots)
-                         for r in self.simples]
-        self._reflect = self.reflector()
+    def __init__(self, cartan):
+        self.cartan = tuple(tuple(int(x) for x in row) for row in cartan)
+        self.num_gens = len(self.cartan)
+        # s_i v = v - v[i] mirrors[i]: beta_i is column i of the Cartan matrix
+        mirrors = tuple(zip(*self.cartan))
+
+        def reflect(i, vec):
+            """Generator i acting on a weight in the group's coordinates."""
+            pair = vec[i]
+            return tuple(v - pair * m for v, m in zip(vec, mirrors[i]))
+
+        self.reflect = reflect
         self._elements = None           # in (length, word) order once listed
         rho = (1,) * self.num_gens
         self._vecs, self._ids, self.length = [rho], {rho: 0}, [0]
@@ -472,16 +454,19 @@ class ReflectionGroup:
         self._intervals = {0: 1}        # id y -> bitset of [e, y] over ids
         self._kl_columns = {}           # id y -> {x id: P_{x,y}}, see kl.py
 
-    # -- words acting on ambient data ---------------------------------
+    # -- words acting in the group's coordinates ------------------------
 
     def act_word(self, word, weight):
+        vec = weight.coords
         for i in reversed(word):
-            weight = self.datum.reflect_weight(self.simples[i], weight)
-        return weight
+            vec = self.reflect(i, vec)
+        return Weight(vec)
 
     def act_word_root(self, word, root):
+        # s_i root = root - <root, beta_i^vee> beta_i
         for i in reversed(word):
-            root = self.datum.reflect_root(self.simples[i], root)
+            pair = sum(a * r for a, r in zip(self.cartan[i], root))
+            root = root[:i] + (root[i] - pair,) + root[i + 1:]
         return root
 
     def check_word(self, word):
@@ -490,16 +475,26 @@ class ReflectionGroup:
             raise ValueError("word %r has a letter outside 0..%d"
                              % (tuple(word), self.num_gens - 1))
 
-    def reflector(self):
-        """reflect(i, vec): generator i acting on a weight in the group's
-        own coordinates."""
-        mirrors = self._mirrors
+    def descend(self, vec):
+        """(dominant point of the orbit of vec, reduced word of the shortest
+        y taking it to vec): reflect in the first generator with a negative
+        pairing until none is left."""
+        word = []
+        while True:
+            i = next((i for i, c in enumerate(vec) if c < 0), None)
+            if i is None:
+                return vec, word
+            vec = self.reflect(i, vec)
+            word.append(i)
 
-        def reflect(i, vec):
-            pair = vec[i]
-            return tuple(v - pair * m for v, m in zip(vec, mirrors[i]))
-
-        return reflect
+    @functools.cached_property
+    def order(self):
+        """|W| from the Cartan matrix (Kostant): the numbers of positive
+        roots of each height form the partition dual to the exponents m_i,
+        and |W| = prod (m_i + 1)."""
+        counts = collections.Counter(map(sum, _root_closure(self.cartan)))
+        return math.prod(1 + sum(n >= i for n in counts.values())
+                         for i in range(1, self.num_gens + 1))
 
     # -- elements by id -------------------------------------------------
 
@@ -514,7 +509,7 @@ class ReflectionGroup:
 
     def _fill(self, i, w):
         vec = self._vecs[w]
-        image = self._reflect(i, vec)
+        image = self.reflect(i, vec)
         u = self._intern(image, self.length[w] + (1 if vec[i] > 0 else -1))
         row = self.lmul[i]
         row[w] = u
@@ -534,13 +529,8 @@ class ReflectionGroup:
 
     @functools.cached_property
     def longest_length(self):
-        """l(w0), the number of walls crossed from rho_J to -rho_J."""
-        vec, steps = (1,) * self.num_gens, 0
-        while True:
-            i = next((i for i, c in enumerate(vec) if c > 0), None)
-            if i is None:
-                return steps
-            vec, steps = self._reflect(i, vec), steps + 1
+        """l(w0), the number of walls crossed from -rho_J to rho_J."""
+        return len(self.descend((-1,) * self.num_gens)[1])
 
     # -- the canonical walk and listing --------------------------------
 
@@ -567,11 +557,13 @@ class ReflectionGroup:
     def _materialize(self):
         if self._elements is not None:
             return
+        # no Weyl group of rank at most 6 outgrows |W(E6)| = 51840
+        if self.num_gens > 6 and self.order > 400000:
+            raise ValueError("reflection group of order %d too large to "
+                             "materialize" % self.order)
         elements = []
         for layer in self.layers():
             elements.extend(WeylElement(self, w, word) for word, w in layer)
-            if len(elements) > 400000:
-                raise ValueError("reflection group too large to materialize")
         # the walk has met every element, so ids run 0 .. order - 1
         self._by_id = sorted(elements, key=lambda e: e.index)
         self._elements = elements

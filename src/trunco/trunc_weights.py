@@ -89,7 +89,7 @@ def find_twisting_word(datum, mu):
     """
     datum.check_rank(mu)
     group = datum.weyl_group()
-    reflect, lmul = group.reflector(), group.lmul
+    reflect, lmul = group.reflect, group.lmul
     before = {}                         # id u -> u(mu), over the layer before
     for layer in group.layers():
         images = {}
@@ -106,12 +106,12 @@ def find_twisting_word(datum, mu):
 
 
 def _check_chain_condition(datum, word, mu):
-    partial = mu
-    for pos in range(len(word) - 1, -1, -1):
-        i = word[pos]
-        if datum.pairing(partial, datum.simple_root(i)) == 0:
+    # <partial, alpha_i^vee> is entry i of the fundamental-weight coordinates
+    partial, reflect = mu.coords, datum.weyl_group().reflect
+    for i in reversed(word):
+        if partial[i] == 0:
             raise RuntimeError("twisting word hits a singular reflection")
-        partial = datum.reflect_weight(datum.simple_root(i), partial)
+        partial = reflect(i, partial)
 
 
 def shifted_dot(datum, word, lam0, n):

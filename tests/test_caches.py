@@ -2,10 +2,14 @@
 
 `build_root_datum` and `RootDatum.sub_datum` hand out one interned datum
 per Cartan matrix, so a Levi reached from any parent is the same object,
-with the same reflection groups and Kostant partition function.  The
-per-block work of the engine and the KL layer (twisting words, block plans,
-block descriptors) is kept on the datum too, so an uninterned
-`RootDatum(cartan)` builds its own and never sees the interned datum's.
+with the same reflection groups and Kostant partition function.  A datum
+keeps one reflection group per Cartan matrix, its own and those of the
+integral subsystems of its blocks, and a group holds nothing of the datum:
+integral subsystems with one Cartan matrix share one group however they
+sit in the datum.  The per-block work of the engine and the KL layer
+(twisting words, block plans, block descriptors) is kept on the datum too,
+so an uninterned `RootDatum(cartan)` builds its own and never sees the
+interned datum's.
 The few caches that live outside a datum are keyed by its Cartan matrix,
 never by id(): a cache keyed by id(datum) returns another datum's entry
 once that datum is freed and a new one is allocated at the same address.
@@ -48,11 +52,38 @@ def test_one_datum_per_cartan_matrix():
 def test_integral_group_is_shared_across_parents():
     # only alpha_1 + alpha_2 pairs integrally with lam0 + rho
     lam0 = Weight((Fraction(1, 2), Fraction(1, 2)))
-    group = kl.integral_weyl_group(build_root_datum("A2"), lam0)
-    assert group.simples == [(1, 1)]
+    a2 = build_root_datum("A2")
+    group = kl.integral_weyl_group(a2, lam0)
+    assert kl.block_descriptor(a2, lam0).simples == ((1, 1),)
+    assert group is kl.block_descriptor(a2, lam0).group
+    assert group.cartan == ((2,),)
     for parent in ("A3", "B3", "A4"):
         levi = build_root_datum(parent).sub_datum((0, 1))
         assert kl.integral_weyl_group(levi, lam0) is group, parent
+
+
+def test_one_group_per_integral_cartan_matrix():
+    # alpha_2, alpha_1 and alpha_1 + alpha_2 are the integral simples of
+    # these three blocks; each generates a W(A1), and the three share it
+    a2 = build_root_datum("A2")
+    half = Fraction(1, 2)
+    descs = [kl.block_descriptor(a2, Weight(coords))
+             for coords in ((half, 0), (0, half), (half, half))]
+    assert [d.simples for d in descs] == [((0, 1),), ((1, 0),), ((1, 1),)]
+    group = a2.reflection_group(((2,),))
+    assert all(d.group is group for d in descs)
+    assert a2.reflection_group([[2]]) is group
+    assert a2.weyl_group() is a2.reflection_group(a2.cartan)
+
+
+def test_a_group_holds_no_ambient_datum():
+    for type_str in TYPES:
+        datum = build_root_datum(type_str)
+        zero = Weight((0,) * datum.rank)
+        for group in (datum.weyl_group(), kl.integral_weyl_group(datum, zero)):
+            assert not hasattr(group, "datum") and not hasattr(group, "simples")
+            assert not any(isinstance(v, RootDatum)
+                           for v in vars(group).values()), type_str
 
 
 def test_plans_and_descriptors_are_per_datum():
@@ -72,7 +103,9 @@ def test_plans_and_descriptors_are_per_datum():
     assert own is not plan and own == plan
     desc = kl.block_descriptor(fresh, lam0)
     assert desc is not shared
-    assert desc.group.datum is fresh and shared.group.datum is a2
+    assert desc.datum is fresh and shared.datum is a2
+    assert desc.group is fresh.reflection_group(shared.group.cartan)
+    assert desc.group is not shared.group
     assert (desc.antidominant, desc.top.word) == \
         (shared.antidominant, shared.top.word)
     assert set(fresh._descriptors) == {lam0}

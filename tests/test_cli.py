@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from trunco import engine
+from trunco import engine, oracle
 from trunco.cli import main, parse_weight, parse_word
 from trunco.root_datum import Weight, build_root_datum
 
@@ -153,6 +153,17 @@ def test_bad_input_is_status_two(capsys, argv):
     assert captured.out == ""
     assert captured.err.startswith("error: ")
     assert len(captured.err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("command", ["oracle", "mult --verify"])
+def test_oracle_size_budget_is_status_two(capsys, monkeypatch, command):
+    monkeypatch.setattr(oracle, "MAX_TOTAL_DIMENSION", 50)
+    status = main(command.split() + [
+        "--type", "A2", "--lambda", "[0,0],[0,0]", "--nu", "[-2,-2],[0,0]",
+        "--depth", "40"])
+    captured = capsys.readouterr()
+    assert status == 2 and captured.out == ""
+    assert captured.err == "error: truncated Verma module exceeds size budget\n"
 
 
 def test_verify_suite(capsys):

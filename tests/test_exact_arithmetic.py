@@ -23,7 +23,10 @@ def test_integral_coordinates_are_ints():
     assert all(type(c) is int for c in (2 * half).coords)
     a2 = build_root_datum("A2")
     lam = Weight((3, 0))    # 2 alpha_1 + alpha_2
-    assert all(type(c) is int for c in a2.reflect_weight((1, 1), lam).coords)
+    # the reflection in alpha_1 + alpha_2 is s_1 s_2 s_1
+    reflected = a2.weyl_group().act_word((0, 1, 0), lam)
+    assert reflected == Weight((0, -3))
+    assert all(type(c) is int for c in reflected.coords)
     assert a2.root_coords(lam) == (2, 1)
     assert all(type(c) is int for c in a2.root_coords(lam))
     assert a2.root_coords(Weight((1, 0))) == (Fraction(2, 3), Fraction(1, 3))

@@ -11,14 +11,28 @@ listing the Weyl group; the B3 leaves, the A1xA1 leaf and the D4 pairs
 before the traced leaf printed the engine's own descent and polynomial
 instead of recomputing them.  Trace words and polynomial strings must not
 move with such changes.
+
+`golden_traces.json` holds one short digest of the untraced value and the
+traced JSON of each of about a thousand seeded `mult` queries
+(`trace_queries`: A1 to F4 and A1xA1, levels 0-2, integral, singular and
+non-integral lambda_0), so a moved trace names its query.  Regenerate it
+only when a change of output is meant: `PYTHONPATH=src python3
+tests/test_golden.py`.
 """
 
+import hashlib
 import json
 import pathlib
+import random
+from fractions import Fraction
 
 import pytest
 
+from trunco.characters import cone
 from trunco.cli import main
+from trunco.engine import MultiplicityQuery, multiplicity
+from trunco.root_datum import Weight, build_root_datum
+from trunco.trunc_weights import TruncatedWeight, shifted_dot
 
 GOLDEN = json.loads(
     (pathlib.Path(__file__).resolve().parent / "golden_cli.json").read_text())
@@ -28,3 +42,78 @@ GOLDEN = json.loads(
 def test_cli_output_is_unchanged(capsys, case):
     assert main(list(case["argv"])) == 0
     assert capsys.readouterr().out == case["stdout"]
+
+
+# -- traced engine queries ----------------------------------------------
+
+TRACE_TYPES = ("A1", "A2", "B2", "G2", "A1xA1", "A3", "B3", "C3", "D4", "F4")
+TRACE_PATH = pathlib.Path(__file__).resolve().parent / "golden_traces.json"
+
+
+def _coordinate(rng, fractions):
+    if fractions and rng.random() < 0.4:
+        return Fraction(rng.choice((-1, 1, 2)), rng.choice((2, 3)))
+    return rng.randint(-2, 2)
+
+
+def trace_queries(per_type=110, seed=19):
+    """Seeded (type, lambda, nu) queries: levels 0-2, lambda_0 integral,
+    singular or non-integral, nu_0 = lambda_0 - beta in the block and a
+    few outside it."""
+    rng = random.Random(seed)
+    queries = []
+    for type_str in TRACE_TYPES:
+        datum = build_root_datum(type_str)
+        for k in range(per_type):
+            level = k % 3
+            lam0 = [_coordinate(rng, k % 2) for _ in range(datum.rank)]
+            if k % 5 == 0:
+                lam0[rng.randrange(datum.rank)] = -1
+            if k % 4 == 0:
+                # a dot image of 0, where KL polynomials need not be 1
+                down = tuple(rng.randrange(datum.rank) for _ in range(6))
+                zero = Weight((0,) * datum.rank)
+                lam0 = shifted_dot(datum, down, zero, 0).coords
+            tail = [Weight([rng.randint(-2, 2) for _ in range(datum.rank)])
+                    for _ in range(level)]
+            lam = TruncatedWeight([Weight(lam0)] + tail)
+            # half the offsets reach a dot image of lambda_0 when they can
+            word = tuple(rng.randrange(datum.rank) for _ in range(k % 9))
+            beta = datum.dominance_offset(
+                shifted_dot(datum, word, lam[0], level), lam[0])
+            if k % 2 or beta is None:
+                beta = rng.choice(cone(datum.rank, 3 if datum.rank > 2 else 4))
+            nu_tail = list(tail)
+            if level and k % 17 == 0:
+                nu_tail[-1] = nu_tail[-1] + datum.rho
+            nu = TruncatedWeight([lam[0] - datum.root_weight(beta)] + nu_tail)
+            queries.append((type_str, lam, nu))
+    return queries
+
+
+def trace_digest(datum, lam, nu):
+    """A short digest of the untraced value and the traced JSON."""
+    query = MultiplicityQuery(datum, lam, nu)
+    value, _ = multiplicity(query)
+    _, trace = multiplicity(query, trace=True)
+    text = json.dumps([value, trace.to_dict()], sort_keys=True)
+    return hashlib.sha256(text.encode()).hexdigest()[:12]
+
+
+def _label(type_str, lam, nu):
+    return "%s %s %s" % (type_str, lam, nu)
+
+
+def test_traced_queries_are_unchanged():
+    want = json.loads(TRACE_PATH.read_text())
+    got = {_label(*q): trace_digest(build_root_datum(q[0]), q[1], q[2])
+           for q in trace_queries()}
+    assert len(got) >= 1000 and set(got) == set(want)
+    moved = [label for label in got if got[label] != want[label]]
+    assert moved == [], "%d traces moved, first: %s" % (len(moved), moved[:5])
+
+
+if __name__ == "__main__":
+    TRACE_PATH.write_text(json.dumps(
+        {_label(*q): trace_digest(build_root_datum(q[0]), q[1], q[2])
+         for q in trace_queries()}, indent=0, sort_keys=True) + "\n")

@@ -14,8 +14,8 @@ from trunco.trunc_weights import TruncatedWeight
 from trunco import kl, oracle
 
 from klsolver import KLSolver
-from weyl_ops import (act, act_root, bruhat_leq, has_left_descent, inverse,
-                      mult, order)
+from weyl_ops import (act_integral, act_root, bruhat_leq, has_left_descent,
+                      inverse, mult, order)
 
 
 def test_kl_trivial_pairs():
@@ -136,10 +136,13 @@ def test_a_group_interned_before_it_is_listed():
         datum = RootDatum(interned.cartan)      # not interned: a fresh group
         zero = Weight((0,) * datum.rank)
         listed = integral_weyl_group(interned, zero)
-        group, rho = integral_weyl_group(datum, zero), datum.rho
+        desc, rho = block_descriptor(datum, zero), datum.rho
+        group = desc.group
+        assert group is not listed and group.cartan == listed.cartan
         values = {}
         for x, y in _sample_pairs(listed, count, rng):
-            lam0, nu0 = act(x, rho) - rho, act(y, rho) - rho
+            lam0 = act_integral(desc, x, rho) - rho
+            nu0 = act_integral(desc, y, rho) - rho
             values[x.word, y.word] = base_multiplicity(datum, lam0, nu0)
         assert group._elements is None
         lazy = list(zip(group._vecs, group.length))
@@ -159,7 +162,8 @@ def test_a_group_interned_before_it_is_listed():
         w0 = group.longest_element()
         for (x_word, y_word), value in values.items():
             x, y = group.from_word(x_word), group.from_word(y_word)
-            lam0, nu0 = act(x, rho) - rho, act(y, rho) - rho
+            lam0 = act_integral(desc, x, rho) - rho
+            nu0 = act_integral(desc, y, rho) - rho
             # [M_{x.0} : L_{y.0}] = P_{y w0, x w0}(1)
             top, below = mult(group, x, w0), mult(group, y, w0)
             p = kl_polynomial(group, below, top)
@@ -234,7 +238,8 @@ def test_base_multiplicity_regular_a2_block():
     lam = Weight((0, 0))
     desc = block_descriptor(a2, lam)
     anti = desc.antidominant
-    orbit = [act(w, anti + a2.rho) - a2.rho for w in desc.group.elements()]
+    orbit = [act_integral(desc, w, anti + a2.rho) - a2.rho
+             for w in desc.group.elements()]
     total = sum(base_multiplicity(a2, lam, nu) for nu in orbit)
     # one simple for each of the six Weyl chamber positions
     assert total == 6
@@ -257,15 +262,17 @@ DESCENT_BLOCKS = (
 def _orbit_scan(datum, lam0):
     """(antidominant point, {point: longest w with w . antidominant ==
     point}) over the dot orbit of lam0, by a scan of the listed integral
-    Weyl group; the antidominant point is found by its pairings."""
-    group, rho = integral_weyl_group(datum, lam0), datum.rho
-    positive, _ = integral_subsystem(datum, lam0)
-    orbit = {act(w, lam0 + rho) for w in group.elements()}
+    Weyl group acting through the integral simples; the antidominant
+    point is found by its pairings."""
+    desc, rho = block_descriptor(datum, lam0), datum.rho
+    positive, simples = integral_subsystem(datum, lam0)
+    assert desc.simples == tuple(simples)
+    orbit = {act_integral(desc, w, lam0 + rho) for w in desc.group.elements()}
     (anti,) = [p for p in orbit
                if all(datum.pairing(p, r) <= 0 for r in positive)]
     taking = {}
-    for w in group.elements():
-        taking.setdefault(act(w, anti) - rho, []).append(w)
+    for w in desc.group.elements():
+        taking.setdefault(act_integral(desc, w, anti) - rho, []).append(w)
     longest = {}
     for point, ws in taking.items():
         top = max(w.length for w in ws)
@@ -311,18 +318,26 @@ TABLE_BLOCKS = DESCENT_BLOCKS + (
 
 
 def test_group_tables_match_their_definitions():
-    # s_i w < w  iff  w^{-1}(beta_i) < 0; products agree with concatenated
-    # words; Bruhat order agrees with the support of R (KLSolver.leq)
+    # s_i w < w  iff  w^{-1}(e_i) < 0 in the group's own root coordinates;
+    # products agree with concatenated words; Bruhat order agrees with the
+    # support of R (KLSolver.leq)
     rng = random.Random(3)
     for type_str, coords in TABLE_BLOCKS:
-        group = integral_weyl_group(build_root_datum(type_str), Weight(coords))
+        interned = build_root_datum(type_str)
+        desc = block_descriptor(interned, Weight(coords))
+        group = desc.group
+        assert group is integral_weyl_group(interned, Weight(coords))
+        # the group's Cartan matrix is <beta_k, beta_j^vee>
+        assert group.cartan == tuple(
+            tuple(interned.pairing(interned.root_weight(bk), bj)
+                  for bk in desc.simples) for bj in desc.simples)
         elements = group.elements()
         assert sorted(w.index for w in elements) == list(range(order(group)))
         # the vector of w names it: a negative entry i is a left descent,
         # and w w0 is named by the negated vector
         w0 = group.longest_element()
-        # listing sets l(w0); an unlisted group walks from rho to -rho
-        unlisted = integral_weyl_group(RootDatum(group.datum.cartan),
+        # listing sets l(w0); an unlisted group descends from -rho to rho
+        unlisted = integral_weyl_group(RootDatum(interned.cartan),
                                        Weight(coords))
         assert group.longest_length == unlisted.longest_length == w0.length
         assert unlisted._elements is None
@@ -331,7 +346,8 @@ def test_group_tables_match_their_definitions():
             assert group._ids[vec] == w.index
             assert group._vecs[mult(group, w, w0).index] == \
                 tuple(-c for c in vec)
-            for i, simple in enumerate(group.simples):
+            for i in range(group.num_gens):
+                simple = tuple(int(j == i) for j in range(group.num_gens))
                 negative = all(c <= 0 for c in act_root(inverse(w), simple))
                 assert has_left_descent(group, w, i) == negative, \
                     (type_str, coords, w, i)
@@ -378,7 +394,7 @@ def test_offset_leaf_matches_the_trace_path(type_str):
                 coords[i] = Fraction(rng.choice((1, 2)), rng.choice((2, 3)))
         lam0 = Weight(coords)
         group = block_descriptor(datum, lam0).group
-        ranks.add(len(group.simples))
+        ranks.add(group.num_gens)
         _, longest = _orbit_scan(datum, lam0)
         solver = KLSolver(group)
         for beta in rng.sample(cone(datum.rank, 4), 12):

@@ -84,7 +84,7 @@ def test_module_size_budget(monkeypatch):
     monkeypatch.setattr(oracle, "MAX_TOTAL_DIMENSION", dim)
     TruncatedModule(a2, lam, 3)
     monkeypatch.setattr(oracle, "MAX_TOTAL_DIMENSION", dim - 1)
-    with pytest.raises(MemoryError):
+    with pytest.raises(ValueError, match="size budget"):
         TruncatedModule(a2, lam, 3)
 
 

@@ -5,6 +5,7 @@ import random
 import subprocess
 import sys
 import textwrap
+import time
 
 import pytest
 from fractions import Fraction
@@ -23,6 +24,9 @@ def test_root_counts():
     assert len(build_root_datum("G2").positive_roots) == 6
     assert len(build_root_datum("A3").positive_roots) == 6
     assert len(build_root_datum("A1xA1").positive_roots) == 2
+    for t, count in (("F4", 24), ("B7", 49), ("E6", 36), ("E7", 63),
+                     ("E8", 120), ("A1xG2", 7)):
+        assert len(build_root_datum(t).positive_roots) == count, t
 
 
 def test_positive_roots_are_nonnegative_combinations():
@@ -50,12 +54,19 @@ def test_rho_pairs_to_one_with_every_simple_coroot():
 
 def test_reflection_examples():
     datum = build_root_datum("A2")
+    group = datum.weyl_group()
     alpha1 = datum.simple_root(0)
     # s_alpha sends alpha to -alpha
     w1 = datum.root_weight(alpha1)
-    assert datum.reflect_weight(alpha1, w1) == -w1
+    assert group.act_word((0,), w1) == -w1
+    assert group.act_word_root((0,), alpha1) == (-1, 0)
     # s_1(alpha_1 + alpha_2) = alpha_2
-    assert datum.reflect_root(alpha1, (1, 1)) == (0, 1)
+    assert group.act_word_root((0,), (1, 1)) == (0, 1)
+    # the weight and root actions agree through root_weight
+    for word in ((0,), (1, 0), (0, 1, 0)):
+        for root in datum.positive_roots:
+            assert group.act_word(word, datum.root_weight(root)) == \
+                datum.root_weight(group.act_word_root(word, root))
 
 
 def test_identity_word_acts_trivially():
@@ -93,6 +104,25 @@ def test_longest_element():
     group = build_root_datum("A2").weyl_group()
     assert group.longest_element().length == 3
     assert order(group) == 6
+
+
+def test_order_from_the_cartan_matrix_matches_listing():
+    for t in ("A1", "A2", "B2", "G2", "A1xA1", "A3", "B3", "C3", "D4", "F4",
+              "A1xG2"):
+        group = RootDatum(build_root_datum(t).cartan).weyl_group()
+        assert group.order == order(group), t
+    for t, size in (("B7", 645120), ("E7", 2903040), ("E8", 696729600)):
+        assert build_root_datum(t).weyl_group().order == size, t
+
+
+def test_a_group_too_large_to_list_is_refused_before_the_walk():
+    group = build_root_datum("B7").weyl_group()
+    interned = len(group._vecs)
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="645120"):
+        group.elements()
+    assert time.perf_counter() - start < 0.1
+    assert len(group._vecs) == interned and group._elements is None
 
 
 def test_from_word_refuses_a_letter_outside_the_generators():

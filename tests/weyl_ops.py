@@ -18,7 +18,7 @@ def inverse(w):
 
 
 def act_root(w, root):
-    """w applied to a root in root coordinates."""
+    """w applied to a root in the group's simple-root coordinates."""
     return w.group.act_word_root(w.word, root)
 
 
@@ -32,8 +32,23 @@ def has_left_descent(group, w, i):
 
 
 def act(w, weight):
-    """w applied to a weight in fundamental-weight coordinates."""
+    """w applied to a weight in the group's coordinates: for the Weyl group
+    of a datum, its fundamental-weight coordinates."""
     return w.group.act_word(w.word, weight)
+
+
+def reflect(datum, root, weight):
+    """The reflection in a root of the datum acting on one of its weights."""
+    return weight - datum.pairing(weight, root) * datum.root_weight(root)
+
+
+def act_integral(desc, w, weight):
+    """An element of the integral Weyl group of a block descriptor acting
+    on a weight of the ambient datum: its word read as reflections in the
+    integral simples."""
+    for i in reversed(w.word):
+        weight = reflect(desc.datum, desc.simples[i], weight)
+    return weight
 
 
 def mult(group, x, y):
