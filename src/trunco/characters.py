@@ -38,6 +38,8 @@ class PartitionCache:
 
     def __init__(self, positive_roots):
         self.roots = [tuple(r) for r in positive_roots]
+        # the length of the roots; only a rank-0 system has none
+        self.rank = len(self.roots[0]) if self.roots else 0
         self._memo = {}
 
     def count(self, beta):
@@ -45,6 +47,9 @@ class PartitionCache:
         key = tuple(map(int, beta))
         if key != tuple(beta):
             raise ValueError("non-integer partition argument %r" % (beta,))
+        if len(key) != self.rank:
+            raise ValueError("partition argument %r has %d coordinates, "
+                             "expected %d" % (beta, len(key), self.rank))
         if any(b < 0 for b in key):
             return 0
         return self._count(key, 0)

@@ -9,22 +9,23 @@ cosets modulo the dot-action stabilizer,
 Non-integral highest weights are handled by passing to the subsystem of
 roots with integral pairing: its Weyl group is the `ReflectionGroup` of its
 own Cartan matrix, and `BlockDescriptor` alone keeps how it sits in the
-ambient datum.  Writing x = y w0 and y = y' w0 with y and y'
-shortest in their cosets, the value is P_{y' w0, y w0}(1) = Q_{y,y'}(1), the
-inverse KL polynomial of `leaf_polynomial`.  `_kl_coeffs` reads it from a
-stored column of y w0, else from the shorter end: [y, y'] by the inversion
-formula (see `_inverse_entry`), or the column of y w0.  The work runs on
-the element ids of `ReflectionGroup`, named by their vectors w(rho), and
-never lists the group; `kl_polynomial` goes through the same helper.
+ambient datum.  Whether lam0 - beta lies in the block of lam0 is read off
+the two integer descents to the dominant point (`ReflectionGroup.descend`):
+the same point, and drops that give back beta in the datum's simple roots;
+no rational linear algebra is needed.  Writing x = y w0 and y = y' w0 with
+y and y' shortest in their cosets, the value is P_{y' w0, y w0}(1) =
+Q_{y,y'}(1), the inverse KL polynomial of `leaf_polynomial`.  `_kl_coeffs`
+reads it from a stored column of y w0, else from the shorter end: [y, y']
+by the inversion formula (see `_inverse_entry`), or the column of y w0.
+The work runs on the element ids of `ReflectionGroup`, named by their
+vectors w(rho), and never lists the group; `kl_polynomial` goes through the
+same helper.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from fractions import Fraction
 
-from . import linalg
 from .root_datum import ReflectionGroup, Weight
 
 
@@ -231,18 +232,18 @@ class BlockDescriptor:
     root coordinates, and `group` the Weyl group of its Cartan matrix
     <beta_k, beta_j^vee>.  Vectors are in the group's coordinates: a weight
     v is the tuple of its pairings <v, beta_j^vee>.  `shifted` is lam0 +
-    rho so written, `dominant` the dominant point of its orbit, and `y` the
-    vector (see `ReflectionGroup`) of the shortest y taking that point to
-    lam0 + rho; the longest w with w . antidominant == lam0 is then y w0.
-    For an offset beta in simple roots, nu_0 + rho = lam0 + rho - beta is
+    rho so written, `dominant` the dominant point of its orbit, `drop` what
+    `ReflectionGroup.descend` drops on the way there, and `y` the vector
+    (see `ReflectionGroup`) of the shortest y taking that point to lam0 +
+    rho; the longest w with w . antidominant == lam0 is then y w0.  For an
+    offset beta in simple roots, nu_0 + rho = lam0 + rho - beta is
     `shifted` minus the integer product `pairings` . beta, with
     pairings[j][k] = <alpha_k, beta_j^vee>.  Those coordinates forget the
-    part of beta outside the span of the integral simples, which `normals`
-    detects: integer vectors whose dot products vanish exactly on that span
-    (none when the group has full rank).  `top` gives y w0 as a listed
-    element and `antidominant` the point top^-1 (lam0 + rho) - rho, for the
-    trace; they list the group.  There is one descriptor per datum and
-    lam0, compared by identity.
+    part of beta outside the span of the integral simples; `offset` reads
+    beta back from a drop.  `top` gives y w0 as a listed element, for the
+    trace, and lists the group; `antidominant` is the antidominant point of
+    the orbit of lam0 + rho, less rho.  There is one descriptor per datum
+    and lam0, compared by identity.
     """
 
     datum: object                   # the ambient RootDatum
@@ -251,9 +252,20 @@ class BlockDescriptor:
     lam0: Weight
     shifted: tuple                  # lam0 + rho, group coordinates
     pairings: tuple                 # <alpha_k, beta_j^vee>, row j
-    normals: tuple                  # integer normals to the span of the simples
     dominant: tuple                 # dominant point of the orbit of shifted
+    drop: tuple                     # drop of shifted to dominant (see above)
     y: tuple                        # vector of the shortest y (see above)
+
+    def offset(self, drop):
+        """sum_j (self.drop - drop)_j beta_j, in the datum's root
+        coordinates.  Reflecting in beta_j subtracts column j of the Cartan
+        matrix in the group's coordinates and beta_j in the datum, so a
+        weight v + rho whose vector descends to `dominant` with this drop
+        reaches the same ambient point as lam0 + rho exactly when lam0 - v
+        is offset(drop)."""
+        diff = [a - b for a, b in zip(self.drop, drop)]
+        return tuple(sum(d * beta[k] for d, beta in zip(diff, self.simples))
+                     for k in range(self.datum.rank))
 
     def listed_times_w0(self, vec):
         """The listed element w w0, for the element w named by vec."""
@@ -265,32 +277,10 @@ class BlockDescriptor:
 
     @property
     def antidominant(self):
-        # s_i v = v - <v, beta_i^vee> beta_i, the pairing read off the
-        # group's coordinates and beta_i subtracted in the datum's
-        weight, vec = self.lam0, self.shifted
-        for i in self.top.word:
-            weight = weight - vec[i] * self.datum.root_weight(self.simples[i])
-            vec = self.group.reflect(i, vec)
-        return weight
-
-
-def _span_normals(simples, rank):
-    """Integer vectors x with x . s = 0 for every simple s: a basis of the
-    null space of the matrix whose rows are the simples."""
-    if len(simples) == rank:
-        return ()
-    ech, pivots = linalg.row_echelon(simples)
-    normals = []
-    for free in range(rank):
-        if free in pivots:
-            continue
-        x = [Fraction(0)] * rank
-        x[free] = Fraction(1)
-        for row, p in zip(ech, pivots):
-            x[p] = -row[free]
-        den = math.lcm(*(c.denominator for c in x))
-        normals.append(tuple(int(c * den) for c in x))
-    return tuple(normals)
+        # -dominant descends to -w0(dominant), dropping minus what w0 takes
+        # off the dominant point; so offset(drop) takes lam0 + rho there
+        drop = self.group.descend(tuple(-c for c in self.dominant))[2]
+        return self.lam0 - self.datum.root_weight(self.offset(drop))
 
 
 def block_descriptor(datum, lam0):
@@ -310,11 +300,10 @@ def block_descriptor(datum, lam0):
         group = datum.reflection_group(
             [[sum(p * b for p, b in zip(row, beta)) for beta in simples]
              for row in pairings])
-        dominant, word = group.descend(shifted)
+        dominant, word, drop = group.descend(shifted)
         desc = datum._descriptors[lam0] = BlockDescriptor(
-            datum, simples, group, lam0, shifted, pairings,
-            _span_normals(simples, datum.rank), dominant,
-            group._vecs[group._apply(word, 0)])
+            datum, simples, group, lam0, shifted, pairings, dominant,
+            tuple(drop), group._vecs[group._apply(word, 0)])
     return desc
 
 
@@ -326,18 +315,18 @@ def leaf_polynomial(datum, lam0, beta):
     y and y' are shortest taking the dominant point to lam0 + rho and to
     lam0 + rho - beta, and Q_{y,y'} = P_{y' w0, y w0}.  lam0 - beta lies in
     the block when lam0 + rho - beta has the same dominant point in the
-    coordinates of the integral Weyl group and beta lies in the span of the
-    integral simples: the two dominant points then differ by a vector in
-    that span orthogonal to every integral coroot, which is zero.
+    coordinates of the integral Weyl group, and the two descents drop beta
+    (`BlockDescriptor.offset`): the two weights then reach one ambient
+    point.  A group of full rank needs no second test, since no nonzero
+    weight is orthogonal to every integral coroot.
     """
     desc = block_descriptor(datum, lam0)
-    if any(sum(x * b for x, b in zip(normal, beta)) for normal in desc.normals):
-        return None
     group = desc.group
     vec = tuple(s - sum(p * b for p, b in zip(row, beta))
                 for s, row in zip(desc.shifted, desc.pairings))
-    point, word = group.descend(vec)
-    if point != desc.dominant:
+    point, word, drop = group.descend(vec)
+    if point != desc.dominant or (group.num_gens < datum.rank
+                                  and desc.offset(drop) != tuple(beta)):
         return None
     y2 = group._apply(word, 0)
     top = _times_w0(group, group._ids[desc.y])

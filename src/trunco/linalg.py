@@ -1,9 +1,9 @@
 """Exact Gaussian elimination over the rationals, for small dense matrices.
 
-Matrices are lists of rows, entries Fraction (or int).  Its callers in the
-package are `RootDatum`, which inverts its Cartan matrix with it, and the KL
-layer, which finds the normals to the span of a lower-rank integral root
-system; the module oracle eliminates its own sparse integer rows.
+Matrices are lists of rows, entries Fraction (or int).  Its one caller in
+the package is `RootDatum`, which inverts its Cartan matrix with it; the KL
+layer decides block membership from its integer descents, and the module
+oracle eliminates its own sparse integer rows.
 """
 
 from fractions import Fraction

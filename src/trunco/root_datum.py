@@ -302,6 +302,9 @@ class RootDatum:
 
     def root_weight(self, root):
         """A root expressed in fundamental-weight coordinates."""
+        if len(root) != self.rank:
+            raise ValueError("root %r has %d coordinates, expected %d"
+                             % (tuple(root), len(root), self.rank))
         return Weight(tuple(
             sum(self.cartan[i][j] * root[j] for j in range(self.rank))
             for i in range(self.rank)))
@@ -319,6 +322,7 @@ class RootDatum:
 
     def pairing(self, weight, root):
         """<weight, root^vee> for a (possibly negative) root."""
+        self.check_rank(weight)
         return sum(c * w for c, w in zip(self.coroot_coords(root), weight.coords))
 
     def check_rank(self, *weights):
@@ -328,27 +332,19 @@ class RootDatum:
                 raise ValueError("weight %s has %d coordinates, expected %d"
                                  % (weight, len(weight.coords), self.rank))
 
-    def root_coords(self, weight, indices=None):
-        """Express a weight as a rational combination of simple roots.
-
-        Only the simple roots listed in `indices` may be used (default all).
-        Returns a full-length coefficient tuple (ints where integral), or
-        None if the weight is not in their span.
-        """
+    def root_coords(self, weight):
+        """Express a weight as a rational combination of the simple roots:
+        a coefficient tuple, ints where integral."""
         self.check_rank(weight)
-        coords = tuple(_ratio(sum(b * w for b, w in zip(row, weight.coords)),
-                              self._inverse_den)
-                       for row in self._cartan_inverse)
-        if indices is not None and any(
-                coords[j] for j in range(self.rank) if j not in indices):
-            return None
-        return coords
+        return tuple(_ratio(sum(b * w for b, w in zip(row, weight.coords)),
+                            self._inverse_den)
+                     for row in self._cartan_inverse)
 
-    def dominance_offset(self, lower, upper, indices=None):
-        """upper - lower as an int tuple of Z>=0 coefficients of the given
-        simples (default all), or None when it is no such combination."""
-        coords = self.root_coords(upper - lower, indices)
-        if coords is None or any(c.denominator != 1 or c < 0 for c in coords):
+    def dominance_offset(self, lower, upper):
+        """upper - lower as an int tuple of Z>=0 coefficients of the simple
+        roots, or None when it is no such combination."""
+        coords = self.root_coords(upper - lower)
+        if any(c.denominator != 1 or c < 0 for c in coords):
             return None
         return coords
 
@@ -477,13 +473,16 @@ class ReflectionGroup:
 
     def descend(self, vec):
         """(dominant point of the orbit of vec, reduced word of the shortest
-        y taking it to vec): reflect in the first generator with a negative
-        pairing until none is left."""
-        word = []
+        y taking it to vec, drop): reflect in the first generator with a
+        negative pairing until none is left.  Each reflection in i adds the
+        entry vec[i] it removes to drop[i], so vec - point is the sum of
+        drop[i] times column i of the Cartan matrix."""
+        word, drop = [], [0] * self.num_gens
         while True:
             i = next((i for i, c in enumerate(vec) if c < 0), None)
             if i is None:
-                return vec, word
+                return vec, word, drop
+            drop[i] += vec[i]
             vec = self.reflect(i, vec)
             word.append(i)
 

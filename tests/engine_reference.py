@@ -32,7 +32,10 @@ def _reduce_level(datum, lam, nu, trace):
     word, levi = find_twisting_word(datum, lam[n])
     lam2 = n_dot(datum, word, lam)
     nu2 = n_dot(datum, word, nu)
-    delta = datum.dominance_offset(nu2[0], lam2[0], levi)
+    delta = datum.dominance_offset(nu2[0], lam2[0])
+    if delta is not None and any(
+            c for j, c in enumerate(delta) if j not in levi):
+        delta = None            # not a combination of the Levi's simples
     node = engine.MultiplicityTrace("reduce", 0, {
         "n": n,
         "twisting_word": list(word),

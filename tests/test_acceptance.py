@@ -102,7 +102,9 @@ def sweep_results():
                         w, levi = find_twisting_word(datum, lam[n])
                         lam2 = n_dot(datum, w, lam)
                         nu2 = n_dot(datum, w, nu)
-                        if datum.root_coords(lam2[0] - nu2[0], levi) is None:
+                        coords = datum.root_coords(lam2[0] - nu2[0])
+                        if any(c for j, c in enumerate(coords)
+                               if j not in levi):
                             linkage_violations.append(
                                 (type_str, tail, tuple(lam0.coords), beta))
     return {"checked": checked, "mismatches": mismatches,

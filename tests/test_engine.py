@@ -311,9 +311,9 @@ def test_one_offset_check_per_query(monkeypatch):
     calls = collections.Counter()
     check = RootDatum.dominance_offset
 
-    def counted(self, lower, upper, indices=None):
+    def counted(self, lower, upper):
         calls[sys._getframe(1).f_code.co_filename == engine.__file__] += 1
-        return check(self, lower, upper, indices)
+        return check(self, lower, upper)
 
     monkeypatch.setattr(RootDatum, "dominance_offset", counted)
     _cold()

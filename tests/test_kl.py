@@ -331,6 +331,18 @@ def test_group_tables_match_their_definitions():
         assert group.cartan == tuple(
             tuple(interned.pairing(interned.root_weight(bk), bj)
                   for bk in desc.simples) for bj in desc.simples)
+        # descend drops vec - point = sum_i drop_i (column i of the Cartan
+        # matrix); in the datum, lam0 + rho minus the offset of a zero drop
+        # is the ambient point of the dominant vector
+        def dropped(drop):
+            return tuple(sum(d * c for d, c in zip(drop, row))
+                         for row in group.cartan)
+        assert tuple(v - p for v, p in zip(desc.shifted, desc.dominant)) == \
+            dropped(desc.drop)
+        point = Weight(coords) + interned.rho - interned.root_weight(
+            desc.offset((0,) * group.num_gens))
+        assert tuple(interned.pairing(point, b) for b in desc.simples) == \
+            desc.dominant
         elements = group.elements()
         assert sorted(w.index for w in elements) == list(range(order(group)))
         # the vector of w names it: a negative entry i is a left descent,
@@ -344,6 +356,9 @@ def test_group_tables_match_their_definitions():
         for w in elements:
             vec = group._vecs[w.index]
             assert group._ids[vec] == w.index
+            point, word, drop = group.descend(vec)
+            assert point == (1,) * group.num_gens and len(word) == w.length
+            assert tuple(v - p for v, p in zip(vec, point)) == dropped(drop)
             assert group._vecs[mult(group, w, w0).index] == \
                 tuple(-c for c in vec)
             for i in range(group.num_gens):
@@ -428,3 +443,13 @@ def test_offset_outside_the_integral_span_leaves_the_block():
     assert offset_multiplicity(datum, lam0, (1, 0)) == 0
     assert offset_multiplicity(datum, lam0, (0, 1)) == 1
     assert base_multiplicity(datum, lam0, lam0 - datum.root_weight((1, 0))) == 0
+    # lambda_0 = (1/2, 1/2) in A2: the integral group is generated by
+    # alpha_1 + alpha_2, whose span is no coordinate subspace.  6 alpha_1 and
+    # 6 alpha_2 both pair 6 with it, as 3 (alpha_1 + alpha_2) does, so all
+    # three reach the dominant point; only the last is lambda_0's reflection
+    datum = build_root_datum("A2")
+    lam0 = Weight((Fraction(1, 2), Fraction(1, 2)))
+    assert block_descriptor(datum, lam0).simples == ((1, 1),)
+    assert offset_multiplicity(datum, lam0, (6, 0)) == 0
+    assert offset_multiplicity(datum, lam0, (0, 6)) == 0
+    assert offset_multiplicity(datum, lam0, (3, 3)) == 1

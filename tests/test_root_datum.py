@@ -10,6 +10,7 @@ import time
 import pytest
 from fractions import Fraction
 
+from trunco import kostant_partition
 from trunco.root_datum import CartanType, RootDatum, Weight, build_root_datum
 
 from weyl_ops import act, act_root, bruhat_leq, identity, inverse, order
@@ -177,16 +178,16 @@ def test_dominance_examples():
     a2 = build_root_datum("A2")
     hi = Weight((0, 0))
     lo = hi - a2.root_weight((0, 1))
-    # alpha_2 is not a combination of alpha_1 alone
-    assert a2.dominance_offset(lo, hi, indices=(0,)) is None
-    assert a2.dominance_offset(lo, hi) == (0, 1)
-    assert a2.dominance_offset(lo, hi, indices=(1,)) == (0, 1)
+    offset = a2.dominance_offset(lo, hi)
+    assert offset == (0, 1)
+    # alpha_2 is not a combination of alpha_1 alone, and is one of alpha_2
+    assert offset[1] and not offset[0]
 
 
 def test_dominance_offset_matches_root_coords():
     # upper - lower is built as a known rational combination of simples;
-    # the offset is that combination exactly when it is integral, >= 0 and
-    # supported on the given simples
+    # the offset is that combination exactly when it is integral and >= 0,
+    # and it vanishes off a set of simples exactly when that combination does
     rng = random.Random(5)
     for type_str in ("A2", "B2", "G2", "A1xA1", "A3", "B3"):
         datum = build_root_datum(type_str)
@@ -200,12 +201,13 @@ def test_dominance_offset_matches_root_coords():
             indices = rng.choice((None, tuple(sorted(rng.sample(
                 range(datum.rank), rng.randint(0, datum.rank))))))
             support = range(datum.rank) if indices is None else indices
-            ok = all(c.denominator == 1 and c >= 0 for c in beta) and all(
-                c == 0 for j, c in enumerate(beta) if j not in support)
-            offset = datum.dominance_offset(lower, upper, indices)
-            if ok:
+            offset = datum.dominance_offset(lower, upper)
+            if all(c.denominator == 1 and c >= 0 for c in beta):
                 assert offset == beta
                 assert all(type(c) is int for c in offset)
+                assert all(c == 0 for j, c in enumerate(offset)
+                           if j not in support) == all(
+                    c == 0 for j, c in enumerate(beta) if j not in support)
             else:
                 assert offset is None
 
@@ -271,13 +273,13 @@ def test_root_coords_matches_span_membership():
             w = Weight((0,) * n)
             for j, c in enumerate(x):
                 w = w + c * datum.root_weight(datum.simple_root(j))
-            got = datum.root_coords(w, subset)
+            got = datum.root_coords(w)
             inside = all(c == 0 for j, c in enumerate(x) if j not in subset)
-            assert (got is not None) == inside, (t, subset, x)
-            assert datum.root_coords(w) == tuple(x), (t, x)
-            if got is None:
+            assert all(c == 0 for j, c in enumerate(got)
+                       if j not in subset) == inside, (t, subset, x)
+            assert got == tuple(x), (t, x)
+            if not inside:
                 continue
-            assert all(c == 0 for j, c in enumerate(got) if j not in subset)
             back = Weight((0,) * n)
             for j in subset:
                 back = back + got[j] * datum.root_weight(datum.simple_root(j))
@@ -301,10 +303,24 @@ def test_bad_roots_and_weights_rejected():
         a2.root_coords(Weight((1,)))
     with pytest.raises(ValueError):
         RootDatum([[2, 2], [2, 2]])
+    # vectors of the wrong rank: zip would truncate them
+    with pytest.raises(ValueError):
+        kostant_partition(a2, (2,))
+    with pytest.raises(ValueError):
+        a2.partitions.count((1, 1, 1))
+    with pytest.raises(ValueError):
+        a2.pairing(Weight((5,)), (1, 1))
+    with pytest.raises(ValueError):
+        a2.root_weight((1,))
+    with pytest.raises(ValueError):
+        a2.root_weight((1, 0, 0))
+    # the empty Levi's rank-0 datum counts the empty offset once
+    assert a2.sub_datum(()).partitions.count(()) == 1
 
 
 def test_guards_survive_optimized_mode():
     code = textwrap.dedent("""
+        from trunco import kostant_partition
         from trunco.root_datum import RootDatum, Weight, build_root_datum
         assert False, "asserts are live: not running under -O"
         a2 = build_root_datum("A2")
@@ -312,7 +328,12 @@ def test_guards_survive_optimized_mode():
                  lambda: a2.coroot_coords((1, 2)),
                  lambda: a2.root_coords(Weight((1,))),
                  lambda: RootDatum([[2, 2], [2, 2]]),
-                 lambda: Weight((0.5,))]
+                 lambda: Weight((0.5,)),
+                 lambda: kostant_partition(a2, (2,)),
+                 lambda: a2.partitions.count((1, 1, 1)),
+                 lambda: a2.pairing(Weight((5,)), (1, 1)),
+                 lambda: a2.root_weight((1,)),
+                 lambda: a2.root_weight((1, 0, 0))]
         for k, call in enumerate(calls):
             try:
                 call()
@@ -366,6 +387,20 @@ def test_no_assert_statements_in_package():
             elif (isinstance(node, ast.ImportFrom) and node.module == "os"
                   and env & {alias.name for alias in node.names}):
                 found.append("%s:%d from os import" % (path.name, node.lineno))
+    assert found == []
+
+
+def test_kl_layer_runs_on_integers():
+    # The KL layer decides block membership from its descents, in integers:
+    # it imports neither rational numbers nor the rational linear algebra.
+    path = SRC / "trunco" / "kl.py"
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = {getattr(node, "module", None)}
+            names |= {alias.name for alias in node.names}
+            found += ["kl.py:%d %s" % (node.lineno, name) for name in
+                      sorted(names & {"fractions", "linalg"})]
     assert found == []
 
 
