@@ -8,7 +8,8 @@ from .characters import (FormalCharacter, PartitionCache, decompose_in_block,
                          kostant_partition, verma_character)
 from .engine import (MultiplicityQuery, MultiplicityTrace, multiplicity,
                      multiplicity_table)
-from .oracle import (ChevalleyBasis, TruncatedModule, build_verma,
-                     invariants_character, oracle_multiplicity, simple_character)
+from .chevalley import ChevalleyBasis
+from .oracle import (TruncatedModule, build_verma, invariants_character,
+                     oracle_multiplicity, simple_character)
 
 __version__ = "0.1.0"

@@ -307,6 +307,12 @@ def block_descriptor(datum, lam0):
     return desc
 
 
+def _check_offset(datum, beta):
+    if len(beta) != datum.rank:
+        raise ValueError("offset %s has %d coordinates, expected %d"
+                         % (tuple(beta), len(beta), datum.rank))
+
+
 def leaf_polynomial(datum, lam0, beta):
     """(vector of y', coefficients of Q_{y,y'}) for the level-zero leaf
     [M_{lam0} : L_{lam0 - beta}], beta integer coefficients of the simple
@@ -320,6 +326,7 @@ def leaf_polynomial(datum, lam0, beta):
     point.  A group of full rank needs no second test, since no nonzero
     weight is orthogonal to every integral coroot.
     """
+    _check_offset(datum, beta)
     desc = block_descriptor(datum, lam0)
     group = desc.group
     vec = tuple(s - sum(p * b for p, b in zip(row, beta))
@@ -336,6 +343,7 @@ def leaf_polynomial(datum, lam0, beta):
 def offset_multiplicity(datum, lam0, beta):
     """[M_{lam0} : L_{lam0 - beta}] over the untruncated algebra (level
     n = 0), for beta a tuple of Z>=0 coefficients of the simple roots."""
+    _check_offset(datum, beta)
     if not any(beta):
         return 1
     leaf = leaf_polynomial(datum, lam0, beta)

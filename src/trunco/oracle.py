@@ -1,212 +1,85 @@
 """Brute-force module construction, independent of the KL machinery.
 
-Builds the semisimple Lie algebra from its root datum in a Chevalley basis
-(extraspecial-pair sign convention, validated against the Jacobi identity),
-then realizes truncated Verma modules by the exact action of its
-degree-shifted generators on PBW monomials.  Simple characters are extracted
-as quotients by the maximal proper submodule, which is computed weight space
-by weight space: a vector lies in it iff every degree-shifted raising
-generator maps it into the part already found.  Those conditions are the
-sparse rows of `TruncatedModule.generator_matrix`, scaled to integers and
-eliminated by integer combination; nothing is rounded and no floating point
-is used.
+Realizes truncated Verma modules by the exact action of the degree-shifted
+generators of the Lie algebra (`chevalley.ChevalleyBasis`) on PBW
+monomials.
+
+The modules one decomposition builds, M(eta) for eta = lambda - beta, share
+the tail (lambda_1, ..., lambda_n), and one `_Block` holds what they have in
+common: the PBW basis by weight, each generator's action on it, and the
+generator matrices on its weight spaces.  A bracket adds degrees, so
+lambda_0 enters in one place only: h_(i,0) acting on a monomial of weight
+beta, by <lambda_0 - beta, alpha_i^vee>.  The lowering actions and every
+action of degree >= 1 are therefore the same for each module of the block,
+and the degree-0 raising and Cartan actions are affine in lambda_0, with
+integer coefficients on its entries; each module evaluates those at its own
+lambda_0.
+
+Simple characters are extracted as quotients by the maximal proper
+submodule, which is computed weight space by weight space: a vector lies in
+it iff every degree-shifted raising generator maps it into the part already
+found.  Those conditions are the sparse rows of
+`TruncatedModule.generator_matrix`, scaled to integers and eliminated by
+integer combination; nothing is rounded and no floating point is used.
 """
 
 from __future__ import annotations
 
-import itertools
-import random
-from fractions import Fraction
 from math import gcd, lcm
 
 from .characters import (FormalCharacter, cone, decompose_in_block, height,
                          verma_character)
+from .chevalley import ChevalleyBasis
 from .trunc_weights import TruncatedWeight, same_block
 
 MAX_TOTAL_DIMENSION = 200000
 
 
-def _integer(value):
-    if value.denominator != 1:
-        raise RuntimeError("structure constant %s is not an integer" % value)
-    return int(value)
+def _reads_lambda0(gen):
+    """Whether a generator's action on the PBW basis depends on lambda_0:
+    true of the degree-0 raising and Cartan generators only."""
+    return gen[2] == 0 and gen[0] != "f"
 
 
-class ChevalleyBasis:
-    """Structure constants of g in the basis {h_i, e_gamma, f_gamma}.
+def _evaluate(terms, values):
+    """{key: sum of c * values[j]} over terms {(key, j): c}, zeros dropped."""
+    out = {}
+    for (k, j), c in terms.items():
+        out[k] = out.get(k, 0) + c * values[j]
+    return {k: c for k, c in out.items() if c}
 
-    [e_a, e_b] = N(a,b) e_{a+b} with N(a,b) = +(p+1) on extraspecial pairs,
-    the rest forced by the standard length-weighted cocycle identities.
+
+class _Block:
+    """What the truncated Verma modules with one datum and one tail share,
+    up to a depth: the PBW basis, each generator's action on it, and the
+    generator matrices on its weight spaces.
+
+    The basis and every action are computed once, whatever lambda_0 is.
+    The action of a generator that reads lambda_0 (`_reads_lambda0`) is
+    stored with keys (monomial, j): the coefficient of values[j], where
+    values = (1,) + the coordinates of lambda_0.  Every other action is
+    {monomial: coefficient} as it is.  The basis is walked when the first
+    module takes its window, so a block that builds no module costs little.
     """
 
-    _cache = {}
-
-    def __init__(self, datum):
+    def __init__(self, datum, tail, depth):
         self.datum = datum
-        self.roots = datum.positive_roots
-        self.index = {r: i for i, r in enumerate(self.roots)}
-        self._npos = {}
-        self.shifted = {}       # degree-shifted brackets, see TruncatedModule
-        self._build_constants()
-        self._check_jacobi()
-
-    @classmethod
-    def get(cls, datum):
-        if datum.key not in cls._cache:
-            cls._cache[datum.key] = cls(datum)
-        return cls._cache[datum.key]
-
-    # -- structure constants ------------------------------------------
-
-    def _chain_down(self, a, b):
-        """max k >= 0 with b - k a a root."""
-        p = 0
-        current = b
-        while True:
-            current = tuple(x - y for x, y in zip(current, a))
-            if self.datum.is_root(current):
-                p += 1
-            else:
-                return p
-
-    def _build_constants(self):
-        sq = self.datum.norm_sq
-        for gamma in self.roots:
-            pairs = []
-            for a in self.roots:
-                b = tuple(g - x for g, x in zip(gamma, a))
-                if b in self.index and self.index[a] < self.index[b]:
-                    pairs.append((a, b))
-            if not pairs:
-                continue
-            pairs.sort(key=lambda ab: self.index[ab[0]])
-            ea, eb = pairs[0]
-            self._npos[(ea, eb)] = self._chain_down(ea, eb) + 1
-            for x, y in pairs[1:]:
-                # Jacobi on the quadruple (ea, eb, -x, -y), solved for N(x,y)
-                t = Fraction(0)
-                bx = tuple(p - q for p, q in zip(eb, x))
-                if self.datum.is_root(bx):
-                    t += Fraction(self._n(eb, tuple(-c for c in x)) *
-                                  self._n(ea, tuple(-c for c in y)), 1) / sq(bx)
-                ax = tuple(p - q for p, q in zip(ea, x))
-                if self.datum.is_root(ax):
-                    t -= Fraction(self._n(ea, tuple(-c for c in x)) *
-                                  self._n(eb, tuple(-c for c in y)), 1) / sq(ax)
-                value = _integer(sq(gamma) * t / self._npos[(ea, eb)])
-                if abs(value) != self._chain_down(x, y) + 1:
-                    raise RuntimeError("|N(%r, %r)| is not p + 1" % (x, y))
-                self._npos[(x, y)] = value
-
-    def _n(self, a, b):
-        """N(a,b) for signed roots a, b with a + b a root."""
-        pos_a = a in self.index
-        pos_b = b in self.index
-        if pos_a and pos_b:
-            if (a, b) in self._npos:
-                return self._npos[(a, b)]
-            return -self._npos[(b, a)]
-        if not pos_a and not pos_b:
-            return -self._n(tuple(-c for c in a), tuple(-c for c in b))
-        if not pos_a:
-            return -self._n(b, a)
-        # a positive, b negative
-        sq = self.datum.norm_sq
-        s = tuple(p + q for p, q in zip(a, b))
-        if s in self.index:
-            # (-b) + s = a, a positive pair
-            value = -Fraction(self._n(tuple(-c for c in b), s)) * sq(s) / sq(a)
-        else:
-            # (-s) + a = -b, a positive pair
-            value = Fraction(self._n(tuple(-c for c in s), a)) * sq(s) / sq(tuple(-c for c in b))
-        return _integer(value)
-
-    # -- brackets ------------------------------------------------------
-
-    def bracket(self, x, y):
-        """Bracket of basis elements ("h", i) / ("e", root) / ("f", root).
-
-        Returns a list of (integer coefficient, element) pairs.
-        """
-        kx, ky = x[0], y[0]
-        if kx == "h" and ky == "h":
-            return []
-        if kx == "h":
-            sign = 1 if ky == "e" else -1
-            root = y[1]
-            pair = sum(self.datum.cartan[x[1]][j] * root[j]
-                       for j in range(self.datum.rank))
-            return [(sign * pair, y)] if pair else []
-        if ky == "h":
-            return [(-c, el) for c, el in self.bracket(y, x)]
-        a = x[1] if kx == "e" else tuple(-c for c in x[1])
-        b = y[1] if ky == "e" else tuple(-c for c in y[1])
-        s = tuple(p + q for p, q in zip(a, b))
-        if all(c == 0 for c in s):
-            # [e_a, f_a] = h_{a^vee}
-            out = []
-            for i, c in enumerate(self.datum.coroot_coords(x[1])):
-                if c:
-                    out.append((c if kx == "e" else -c, ("h", i)))
-            return out
-        if not self.datum.is_root(s):
-            return []
-        coeff = self._n(a, b)
-        if s in self.index:
-            return [(coeff, ("e", s))]
-        return [(coeff, ("f", tuple(-c for c in s)))]
-
-    # -- validation ----------------------------------------------------
-
-    def basis_elements(self):
-        out = [("h", i) for i in range(self.datum.rank)]
-        out += [("e", r) for r in self.roots]
-        out += [("f", r) for r in self.roots]
-        return out
-
-    def _bracket_combo(self, x, combo):
-        out = {}
-        for c, el in combo:
-            for c2, el2 in self.bracket(x, el):
-                out[el2] = out.get(el2, 0) + c * c2
-        return {k: v for k, v in out.items() if v}
-
-    def _check_jacobi(self):
-        basis = self.basis_elements()
-        if len(basis) <= 30:
-            triples = itertools.combinations(basis, 3)
-        else:
-            rng = random.Random(0)
-            triples = (tuple(rng.sample(basis, 3)) for _ in range(2000))
-        for x, y, z in triples:
-            lhs = self._bracket_combo(x, self.bracket(y, z))
-            rhs = self._bracket_combo(y, self.bracket(x, z))
-            for c, el in self.bracket(x, y):
-                for c2, el2 in self.bracket(el, z):
-                    rhs[el2] = rhs.get(el2, 0) + c * c2
-            rhs = {k: v for k, v in rhs.items() if v}
-            if lhs != rhs:
-                raise RuntimeError("Jacobi identity fails at %r %r %r" % (x, y, z))
-
-
-class TruncatedModule:
-    """Verma module over g tensor C[t]/(t^(n+1)), cut off at a finite depth.
-
-    Basis vectors are PBW monomials in the degree-shifted lowering
-    operators, sorted by (root position, degree).  A monomial is a tuple of
-    (root index, degree) pairs; the highest weight vector is ().
-    """
-
-    def __init__(self, datum, lam, depth):
-        datum.check_rank(lam[0])
-        self.datum = datum
-        self.lam = lam
-        self.n = lam.level
+        self.tail = tuple(tail)
+        self.n = len(self.tail)
         self.depth = depth
         self.chev = ChevalleyBasis.get(datum)
-        self.spaces = {beta: [] for beta in cone(datum.rank, depth)}
+        self.spaces = None
         self.position = {}      # monomial -> index in its space
-        self._act_cache = {}
+        self._acts = {}
+        self._matrices = {}
+        # <root, alpha_i^vee> by simple index i and positive root index
+        self._pairings = [[sum(a * r for a, r in zip(row, root))
+                           for root in self.chev.roots] for row in datum.cartan]
+
+    def _walk(self):
+        spaces = self.spaces = {beta: [] for beta in cone(self.datum.rank,
+                                                          self.depth)}
+        position, depth = self.position, self.depth
         # generators in position order, of nondecreasing height
         gens = [((ri, d), root, height(root))
                 for ri, root in enumerate(self.chev.roots)
@@ -215,10 +88,10 @@ class TruncatedModule:
         def rec(mono, beta, ht, start):
             # depth first over nondecreasing positions, so that each space
             # fills in lexicographic order
-            space = self.spaces[beta]
-            self.position[mono] = len(space)
+            space = spaces[beta]
+            position[mono] = len(space)
             space.append(mono)
-            if len(self.position) > MAX_TOTAL_DIMENSION:
+            if len(position) > MAX_TOTAL_DIMENSION:
                 raise ValueError("truncated Verma module exceeds size budget")
             for pos in range(start, len(gens)):
                 gen, root, h = gens[pos]
@@ -227,14 +100,19 @@ class TruncatedModule:
                 rec(mono + (gen,), tuple(b + r for b, r in zip(beta, root)),
                     ht + h, pos)
 
-        rec((), (0,) * datum.rank, 0, 0)
-        del rec     # break the cycle rec -> cell -> rec, which holds self
+        rec((), (0,) * self.datum.rank, 0, 0)
+        del rec     # break the cycle rec -> cell -> rec
 
-    # -- the action ----------------------------------------------------
+    def window(self, depth):
+        """The weight spaces of height at most depth, in cone order."""
+        if self.spaces is None:
+            self._walk()
+        return {beta: self.spaces[beta]
+                for beta in cone(self.datum.rank, depth)}
 
-    def _bracket_trunc(self, gen1, gen2):
+    def bracket(self, gen1, gen2):
         """Bracket of two degree-shifted generators, dropping t^(>n); the
-        basis keeps one list per generator pair."""
+        Chevalley basis keeps one list per generator pair."""
         deg = gen1[2] + gen2[2]
         if deg > self.n:
             return []
@@ -245,64 +123,165 @@ class TruncatedModule:
                                  for c, (k, r) in chev.bracket(x, y)]
         return chev.shifted[key]
 
+    def act(self, gen, mono):
+        """Action of a generator (kind, index, degree) on a PBW monomial, in
+        PBW normal form, keyed as the class docstring says.  h_(i,0) acts
+        on a monomial of weight beta by <lambda_0 - beta, alpha_i^vee>, and
+        the recursion for e_(i,0) is linear in that action.
+        """
+        kind, i, d = gen
+        if kind == "f" and (not mono or (i, d) <= mono[0]):
+            return {((i, d),) + mono: 1}
+        if kind == "h" and not d:
+            out = {(mono, i + 1): 1}
+            shift = sum(self._pairings[i][ri] for ri, _ in mono)
+            if shift:
+                out[(mono, 0)] = -shift
+            return out
+        key = (gen, mono)
+        out = self._acts.get(key)
+        if out is not None:
+            return out
+        if not mono:
+            c = self.tail[d - 1].coords[i] if kind == "h" else 0
+            out = {(): c} if c else {}
+        else:
+            # gen f_head rest = f_head (gen rest) + [gen, f_head] rest, and
+            # f_head m is m with head prepended when head comes first
+            head, rest = mono[0], mono[1:]
+            fhead = ("f", head[0], head[1])
+            out = {}
+            if _reads_lambda0(gen):
+                for (m, j), c in self.act(gen, rest).items():
+                    if not m or head <= m[0]:
+                        k = ((head,) + m, j)
+                        out[k] = out.get(k, 0) + c
+                        continue
+                    for m2, c2 in self.act(fhead, m).items():
+                        k = (m2, j)
+                        out[k] = out.get(k, 0) + c * c2
+                for cb, el in self.bracket(gen, fhead):
+                    if _reads_lambda0(el):
+                        for k, c in self.act(el, rest).items():
+                            out[k] = out.get(k, 0) + cb * c
+                    else:
+                        for m, c in self.act(el, rest).items():
+                            k = (m, 0)
+                            out[k] = out.get(k, 0) + cb * c
+            else:
+                for m, c in self.act(gen, rest).items():
+                    if not m or head <= m[0]:
+                        m2 = (head,) + m
+                        out[m2] = out.get(m2, 0) + c
+                        continue
+                    for m2, c2 in self.act(fhead, m).items():
+                        out[m2] = out.get(m2, 0) + c * c2
+                for cb, el in self.bracket(gen, fhead):
+                    for m, c in self.act(el, rest).items():
+                        out[m] = out.get(m, 0) + cb * c
+            if not all(out.values()):
+                out = {k: c for k, c in out.items() if c}
+        self._acts[key] = out
+        return out
+
+    def matrix(self, gen, beta):
+        """Sparse rows {target position: {entry: coefficient}} of the
+        generator on the weight space at beta, and the target beta; an entry
+        is a source position, or (source position, j) when the generator
+        reads lambda_0.  A lowering image past the block's depth is
+        dropped; any other image outside the basis raises RuntimeError."""
+        key = (gen, beta)
+        hit = self._matrices.get(key)
+        if hit is not None:
+            return hit
+        kind = gen[0]
+        if kind == "h":
+            target = beta
+        else:
+            sign = -1 if kind == "e" else 1
+            target = tuple(b + sign * r
+                           for b, r in zip(beta, self.chev.roots[gen[1]]))
+        affine, position = _reads_lambda0(gen), self.position
+        rows = {}
+        for col, mono in enumerate(self.spaces[beta]):
+            for k, c in self.act(gen, mono).items():
+                row = position.get(k[0] if affine else k)
+                if row is None:
+                    if kind != "f":
+                        raise RuntimeError("action left the depth window")
+                    continue
+                rows.setdefault(row, {})[(col, k[1]) if affine else col] = c
+        hit = self._matrices[key] = rows, target
+        return hit
+
+
+class TruncatedModule:
+    """Verma module over g tensor C[t]/(t^(n+1)), cut off at a finite depth.
+
+    Basis vectors are PBW monomials in the degree-shifted lowering
+    operators, sorted by (root position, degree).  A monomial is a tuple of
+    (root index, degree) pairs; the highest weight vector is ().
+
+    The basis, the action and the generator matrices live in a `_Block`
+    shared by every module with this datum and tail: `verma_decomposition`
+    passes one to all the modules it builds, and a module built alone makes
+    its own.  Only the degree-0 raising and Cartan generators read
+    lambda_0, through h_(i,0) acting by <lambda_0 - beta, alpha_i^vee>; the
+    module evaluates their block entries at its own lambda_0.
+    """
+
+    def __init__(self, datum, lam, depth, block=None):
+        datum.check_rank(lam[0])
+        if block is None:
+            block = _Block(datum, lam.tail(), depth)
+        elif (block.datum is not datum or block.tail != lam.tail()
+              or depth > block.depth):
+            raise ValueError("module does not lie in the given block")
+        self.datum = datum
+        self.lam = lam
+        self.n = lam.level
+        self.depth = depth
+        self.chev = block.chev
+        self.block = block
+        self.spaces = block.window(depth)
+        self.position = block.position
+        self._values = (1,) + lam[0].coords
+        self._integral = all(type(c) is int
+                             for w in lam.components for c in w.coords)
+
+    # -- the action ----------------------------------------------------
+
+    def _bracket_trunc(self, gen1, gen2):
+        """Bracket of two degree-shifted generators, dropping t^(>n)."""
+        return self.block.bracket(gen1, gen2)
+
     def act_gen(self, gen, mono):
         """Action of a generator (kind, index, degree) on a basis monomial.
 
         Returns {monomial: coefficient} in PBW normal form.  Coefficients
         are ints; only a non-integral entry of lambda makes them Fractions.
         """
-        key = (gen, mono)
-        cached = self._act_cache.get(key)
-        if cached is not None:
-            return cached
-        kind = gen[0]
-        if not mono:
-            if kind == "e":
-                out = {}
-            elif kind == "h":
-                c = self.lam[gen[2]].coords[gen[1]]
-                out = {(): c} if c else {}
-            else:
-                out = {((gen[1], gen[2]),): 1}
-        elif kind == "f" and (gen[1], gen[2]) <= mono[0]:
-            out = {((gen[1], gen[2]),) + mono: 1}
-        else:
-            head, rest = mono[0], mono[1:]
-            fhead = ("f", head[0], head[1])
-            out = {}
-            for m, c in self.act_gen(gen, rest).items():
-                for m2, c2 in self.act_gen(fhead, m).items():
-                    out[m2] = out.get(m2, 0) + c * c2
-            for cb, el in self._bracket_trunc(gen, fhead):
-                for m, c in self.act_gen(el, rest).items():
-                    out[m] = out.get(m, 0) + cb * c
-            out = {m: c for m, c in out.items() if c}
-        self._act_cache[key] = out
-        return out
+        out = self.block.act(gen, mono)
+        return _evaluate(out, self._values) if _reads_lambda0(gen) else out
 
     def generator_matrix(self, gen, beta):
         """Sparse rows {target position: {source position: coefficient}} of
         the generator on the weight space at beta, and the target beta.  A
         lowering image that leaves the depth window is dropped; any other
-        image that leaves it raises RuntimeError."""
-        beta = tuple(beta)
-        kind = gen[0]
-        if kind == "h":
-            target_beta = beta
-        else:
-            root = self.chev.roots[gen[1]]
-            sign = -1 if kind == "e" else 1
-            target_beta = tuple(b + sign * r for b, r in zip(beta, root))
-        rows = {}
-        for col, mono in enumerate(self.spaces[beta]):
-            for m, c in self.act_gen(gen, mono).items():
-                row = self.position.get(m)
-                if row is None:
-                    if kind != "f":
-                        raise RuntimeError("action left the depth window")
-                    continue
-                rows.setdefault(row, {})[col] = c
-        return rows, target_beta
+        image that leaves it raises RuntimeError.  The rows of a generator
+        that does not read lambda_0 are the block's own: do not modify
+        them."""
+        rows, target = self.block.matrix(gen, tuple(beta))
+        if target not in self.spaces:
+            if rows and gen[0] != "f":
+                raise RuntimeError("action left the depth window")
+            return {}, target
+        if _reads_lambda0(gen):
+            values = self._values
+            rows = {r: out for r, out in
+                    ((r, _evaluate(row, values)) for r, row in rows.items())
+                    if out}
+        return rows, target
 
     def dimension(self, beta):
         return len(self.spaces.get(tuple(beta), []))
@@ -321,8 +300,12 @@ def build_verma(datum, lam, depth):
 
 def _raising_rows(module, gen, beta):
     """`generator_matrix` of a raising generator at beta, scaled by one
-    common factor (the lcm of its denominators) to integers."""
+    common factor (the lcm of its denominators) to integers.  When every
+    entry of lambda is an int the rows are ints already, and are returned
+    as they are."""
     rows, _ = module.generator_matrix(gen, beta)
+    if module._integral:
+        return rows
     scale = lcm(*(c.denominator for row in rows.values() for c in row.values()))
     return {r: {col: c.numerator * (scale // c.denominator)
                 for col, c in row.items()}
@@ -332,27 +315,35 @@ def _raising_rows(module, gen, beta):
 def _eliminate(basis, row):
     """Add an integer row {col: value} to the span of basis {pivot: row}.
 
-    Basis rows are divided by the gcd of their entries, and each one's
-    least column is its pivot. The row is combined with basis rows, in
-    integers, until it is zero or its least column is a new pivot.
+    Each basis row's least column is its pivot, and it is stored divided
+    by the gcd of its entries. The row (copied once) is combined in place
+    with basis rows, in integers, until it is zero or its least column is a
+    new pivot. Until then it differs only by a positive factor from the
+    row that a division at every step would give, so the stored row is the
+    same.
     """
     row = {c: v for c, v in row.items() if v}
     while row:
-        g = gcd(*row.values())
-        if g != 1:
-            row = {c: v // g for c, v in row.items()}
         pivot = min(row)
         other = basis.get(pivot)
         if other is None:
+            g = gcd(*row.values())
+            if g != 1:
+                for c in row:
+                    row[c] //= g
             basis[pivot] = row
             return
         g = gcd(other[pivot], row[pivot])
         a, b = other[pivot] // g, row[pivot] // g
-        for c in row:
-            row[c] *= a
+        if a != 1:
+            for c in row:
+                row[c] *= a
         for c, v in other.items():
-            row[c] = row.get(c, 0) - b * v
-        row = {c: v for c, v in row.items() if v}
+            w = row.get(c, 0) - b * v
+            if w:
+                row[c] = w
+            else:
+                del row[c]
 
 
 def simple_character(module):
@@ -415,17 +406,18 @@ _SIMPLE_CHAR_MEMO = {}
 _DECOMP_MEMO = {}
 
 
-def _simple_char(datum, lam, depth):
+def _simple_char(datum, lam, depth, block=None):
     """simple_character at `depth`, cut from the deepest one built for lam.
 
     The entry at beta depends only on the weight spaces of smaller height,
-    so a deeper character holds every shallower one.
+    so a deeper character holds every shallower one.  A module that has to
+    be built is built in `block` when one is given.
     """
     key = (datum.key, lam)
     ch = _SIMPLE_CHAR_MEMO.get(key)
     if ch is None or ch.depth < depth:
         ch = _SIMPLE_CHAR_MEMO[key] = simple_character(
-            TruncatedModule(datum, lam, depth))
+            TruncatedModule(datum, lam, depth, block))
     if ch.depth == depth:
         return ch
     return FormalCharacter(base=ch.base, depth=depth, table={
@@ -434,15 +426,19 @@ def _simple_char(datum, lam, depth):
 
 def verma_decomposition(datum, lam, depth):
     """Multiplicities {offset beta: [M_lam : L_{lam_0 - beta}]} by greedy
-    comparison of the Verma character with brute-force simple characters."""
+    comparison of the Verma character with brute-force simple characters.
+
+    Every simple asked for has lam's tail and fits in lam's depth, so all
+    the modules built here share one `_Block`, dropped on return."""
     key = (datum.key, lam, depth)
     if key not in _DECOMP_MEMO:
         character = verma_character(datum, lam, depth)
+        block = _Block(datum, lam.tail(), depth)
 
         def provider(beta):
             eta0 = lam[0] - datum.root_weight(beta)
             eta = TruncatedWeight((eta0,) + lam.tail())
-            return _simple_char(datum, eta, depth - height(beta))
+            return _simple_char(datum, eta, depth - height(beta), block)
 
         _DECOMP_MEMO[key] = decompose_in_block(datum, character, provider)
     return _DECOMP_MEMO[key]
@@ -452,8 +448,12 @@ def oracle_multiplicity(datum, lam, nu, depth=None):
     """[M_lam : L_nu] from explicit module construction.
 
     `depth` defaults to the height of lambda_0 - nu_0 (the minimum needed);
-    a larger value decomposes more of the Verma in one pass.
+    a larger value decomposes more of the Verma in one pass.  A rank or
+    level mismatch raises ValueError.
     """
+    datum.check_rank(lam[0], nu[0])
+    if lam.level != nu.level:
+        raise ValueError("weights at different truncation levels")
     if not same_block(lam, nu):
         return 0
     beta = datum.dominance_offset(nu[0], lam[0])

@@ -150,9 +150,15 @@ class Weight:
             else _exact(c) for c in coords))
 
     def __add__(self, other):
+        if len(self.coords) != len(other.coords):
+            raise ValueError("weights %s and %s have unequal lengths"
+                             % (self, other))
         return Weight(tuple(a + b for a, b in zip(self.coords, other.coords)))
 
     def __sub__(self, other):
+        if len(self.coords) != len(other.coords):
+            raise ValueError("weights %s and %s have unequal lengths"
+                             % (self, other))
         return Weight(tuple(a - b for a, b in zip(self.coords, other.coords)))
 
     def __mul__(self, scalar):

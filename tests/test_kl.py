@@ -453,3 +453,16 @@ def test_offset_outside_the_integral_span_leaves_the_block():
     assert offset_multiplicity(datum, lam0, (6, 0)) == 0
     assert offset_multiplicity(datum, lam0, (0, 6)) == 0
     assert offset_multiplicity(datum, lam0, (3, 3)) == 1
+
+
+def test_an_offset_of_the_wrong_length_is_refused():
+    # zip with the pairing rows used to read (1,) on A2 as (1, 0)
+    datum = build_root_datum("A2")
+    lam0 = Weight((0, 0))
+    for beta in ((1,), (0,), (1, 0, 0), ()):
+        with pytest.raises(ValueError, match="expected 2"):
+            offset_multiplicity(datum, lam0, beta)
+        with pytest.raises(ValueError, match="expected 2"):
+            leaf_polynomial(datum, lam0, beta)
+    assert offset_multiplicity(datum, lam0, (0, 0)) == 1
+    assert offset_multiplicity(datum, lam0, (1, 0)) == 1

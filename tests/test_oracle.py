@@ -8,6 +8,7 @@ from fractions import Fraction
 
 from trunco import oracle
 from trunco.characters import cone, verma_character
+from trunco.engine import MultiplicityQuery
 from trunco.oracle import (ChevalleyBasis, TruncatedModule, build_verma,
                            invariants_character, oracle_multiplicity,
                            simple_character, verma_decomposition)
@@ -380,3 +381,125 @@ def test_oracle_rejects_a_rank_mismatch():
         TruncatedModule(a2, lam, 2)
     with pytest.raises(ValueError, match="expected 2"):
         TruncatedModule(a2, _tw((0,)), 1)
+
+
+def test_oracle_multiplicity_checks_rank_and_level_like_the_query():
+    # both used to answer 0, where MultiplicityQuery raises
+    a2 = build_root_datum("A2")
+    lam = _tw((1, 0), (0, 0))
+    with pytest.raises(ValueError, match="expected 2"):
+        MultiplicityQuery(a2, lam, _tw((1,), (0,)))
+    with pytest.raises(ValueError, match="expected 2"):
+        oracle_multiplicity(a2, lam, _tw((1,), (0,)))
+    with pytest.raises(ValueError, match="truncation levels"):
+        MultiplicityQuery(a2, lam, _tw((1, 0), (0, 0), (0, 0)))
+    with pytest.raises(ValueError, match="truncation levels"):
+        oracle_multiplicity(a2, lam, _tw((1, 0), (0, 0), (0, 0)))
+    assert oracle_multiplicity(a2, lam, _tw((1, 0), (1, 0))) == 0
+
+
+def _all_generators(module):
+    return [(k, ri, d) for k in ("e", "f") for ri in range(len(module.chev.roots))
+            for d in range(module.n + 1)] + \
+        [("h", i, d) for i in range(module.datum.rank) for d in range(module.n + 1)]
+
+
+def test_only_the_degree_zero_cartan_and_raising_actions_see_lambda_0():
+    # the premise of sharing one block: at one tail, the lowering matrices
+    # and every matrix of degree >= 1 are the same for any lambda_0, and
+    # h_(i,0) is diagonal with entry <lambda_0 - beta, alpha_i^vee>
+    a2 = build_root_datum("A2")
+    tail = ((1, -1), (Fraction(1, 2), 0))
+    depth = 4
+    one = TruncatedModule(a2, _tw((0, 0), *tail), depth)
+    two = TruncatedModule(a2, _tw((Fraction(1, 3), 2), *tail), depth)
+    assert one.spaces == two.spaces
+    compared = 0
+    for beta in one.spaces:
+        for gen in _all_generators(one):
+            kind, i, deg = gen
+            if kind == "f" or deg:
+                assert one.generator_matrix(gen, beta) == \
+                    two.generator_matrix(gen, beta), (gen, beta)
+                compared += 1
+            elif kind == "h":
+                for module in (one, two):
+                    value = (module.lam[0] - a2.root_weight(beta)).coords[i]
+                    rows, target = module.generator_matrix(gen, beta)
+                    assert target == beta
+                    assert rows == ({k: {k: value} for k in
+                                     range(module.dimension(beta))}
+                                    if value else {}), (gen, beta)
+    # 15 weight spaces; 9 lowering, 6 raising and 4 Cartan generators of
+    # degree >= 1 each
+    assert compared == 15 * 19
+
+
+# (type, components, depth): non-integral lambda_0 at level 2, level 1,
+# and a non-integral tail
+BLOCKS = (
+    ("A2", ((Fraction(1, 2), 1), (1, 0), (0, 1)), 3),
+    ("B2", ((1, 0), (0, 1)), 4),
+    ("G2", ((1, 0), (Fraction(1, 2), 0)), 4),
+)
+
+
+@pytest.mark.parametrize("type_str, comps, depth", BLOCKS)
+def test_modules_built_in_one_block_equal_modules_built_alone(
+        type_str, comps, depth):
+    datum = build_root_datum(type_str)
+    lam = _tw(*comps)
+    block = oracle._Block(datum, lam.tail(), depth)
+    for beta in cone(datum.rank, depth):
+        eta = TruncatedWeight((lam[0] - datum.root_weight(beta),) + lam.tail())
+        shallow = depth - sum(beta)
+        shared = TruncatedModule(datum, eta, shallow, block)
+        alone = TruncatedModule(datum, eta, shallow)
+        assert shared.spaces == alone.spaces
+        for gamma in alone.spaces:
+            for gen in _all_generators(alone):
+                assert shared.generator_matrix(gen, gamma) == \
+                    alone.generator_matrix(gen, gamma), (eta, gen, gamma)
+        assert simple_character(shared) == simple_character(alone)
+
+
+def test_a_module_outside_its_block_is_refused():
+    a2 = build_root_datum("A2")
+    block = oracle._Block(a2, _tw((0, 0), (1, 0)).tail(), 2)
+    TruncatedModule(a2, _tw((5, -1), (1, 0)), 2, block)
+    for datum, lam, depth in ((a2, _tw((0, 0), (0, 1)), 2),
+                              (a2, _tw((0, 0), (1, 0)), 3),
+                              (build_root_datum("B2"), _tw((0, 0), (1, 0)), 2)):
+        with pytest.raises(ValueError, match="block"):
+            TruncatedModule(datum, lam, depth, block)
+
+
+def test_the_block_is_freed_when_the_decomposition_returns(monkeypatch):
+    blocks = []
+
+    class Recorded(oracle._Block):
+        def __init__(self, *args):
+            super().__init__(*args)
+            blocks.append(weakref.ref(self))
+
+    monkeypatch.setattr(oracle, "_Block", Recorded)
+    gc.disable()
+    try:
+        dec = verma_decomposition(build_root_datum("A2"),
+                                  _tw((Fraction(2, 7), 1), (0, 0)), 3)
+        assert dec
+        assert len(blocks) == 1     # one block serves every module
+        assert blocks[0]() is None
+    finally:
+        gc.enable()
+
+
+def test_decomposition_keeps_the_size_budget(monkeypatch):
+    a2 = build_root_datum("A2")
+    lam = _tw((Fraction(3, 7), 0), (1, 1))
+    dim = sum(map(len, TruncatedModule(a2, lam, 3).spaces.values()))
+    monkeypatch.setattr(oracle, "MAX_TOTAL_DIMENSION", dim - 1)
+    with pytest.raises(ValueError, match="size budget"):
+        verma_decomposition(a2, lam, 3)
+    monkeypatch.setattr(oracle, "MAX_TOTAL_DIMENSION", dim)
+    assert verma_decomposition(a2, lam, 3)

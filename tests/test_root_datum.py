@@ -318,6 +318,18 @@ def test_bad_roots_and_weights_rejected():
     assert a2.sub_datum(()).partitions.count(()) == 1
 
 
+def test_weights_of_unequal_lengths_do_not_add():
+    # zip used to truncate the longer weight: (1, 2) + (1,) gave (2)
+    long, short = Weight((1, 2)), Weight((1,))
+    for a, b in ((long, short), (short, long)):
+        with pytest.raises(ValueError, match="unequal lengths"):
+            a + b
+        with pytest.raises(ValueError, match="unequal lengths"):
+            a - b
+    assert long + Weight((0, 1)) == Weight((1, 3))
+    assert long - Weight((1, 2)) == Weight((0, 0))
+
+
 def test_guards_survive_optimized_mode():
     code = textwrap.dedent("""
         from trunco import kostant_partition
