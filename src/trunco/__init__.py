@@ -1,4 +1,9 @@
-"""Exact composition multiplicities for truncated current Lie algebras."""
+"""Exact composition multiplicities for truncated current Lie algebras.
+
+The package root loads only the engine and the KL layer it answers from.
+The brute-force module oracle that checks it is a submodule of its own:
+``from trunco import oracle``.
+"""
 
 from .root_datum import (CartanType, RootDatum, Weight, WeylElement,
                          build_root_datum)
@@ -8,8 +13,5 @@ from .characters import (FormalCharacter, PartitionCache, decompose_in_block,
                          kostant_partition, verma_character)
 from .engine import (MultiplicityQuery, MultiplicityTrace, multiplicity,
                      multiplicity_table)
-from .chevalley import ChevalleyBasis
-from .oracle import (TruncatedModule, build_verma, invariants_character,
-                     oracle_multiplicity, simple_character)
 
 __version__ = "0.1.0"

@@ -8,18 +8,17 @@ entry is the dimension of the weight space at (base - beta).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 
 def height(beta):
     return sum(beta)
 
 
-@dataclass
 class FormalCharacter:
-    base: object                 # Weight, the highest weight lambda_0
-    depth: int
-    table: dict = field(default_factory=dict)
+    def __init__(self, base, depth, table=None):
+        self.base = base            # Weight, the highest weight lambda_0
+        self.depth = depth
+        self.table = {} if table is None else table
 
     def coefficient(self, beta):
         return self.table.get(tuple(beta), 0)

@@ -5,6 +5,8 @@ per current degree: --lambda "[3,1/2],[0,0]" is (lambda_0, lambda_1) for a
 rank-2 type.  Weyl group words use 1-based simple reflection labels.
 
 Exit status: 0 success, 2 argument/parse error, 3 verification mismatch.
+Only the subcommands that run the module oracle (mult --verify, oracle,
+verify-suite) import it.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import json
 import sys
 from fractions import Fraction
 
-from . import engine, kl, oracle
+from . import engine, kl
 from .characters import cone, height, kostant_partition, verma_character
 from .root_datum import Weight, build_root_datum
 from .trunc_weights import TruncatedWeight
@@ -93,6 +95,7 @@ def cmd_mult(args):
         out["trace"] = trace.to_dict()
     status = 0
     if args.verify:
+        from . import oracle
         check = oracle.oracle_multiplicity(datum, lam, nu, args.depth)
         out["oracle"] = check
         if check != value:
@@ -156,6 +159,7 @@ def cmd_character(args):
 
 
 def cmd_oracle(args):
+    from . import oracle
     datum, lam, nu = _query(args)
     if args.invariants is not None:
         levi = parse_word(args.invariants, datum.rank)
@@ -173,6 +177,7 @@ def cmd_oracle(args):
 
 def cmd_verify_suite(args):
     """Engine against oracle on a fixed small sweep."""
+    from . import oracle
     cases = []
     for tail in ((0,), (1,)):
         for lam0 in range(3):

@@ -19,36 +19,50 @@ polynomial and descent, and builds nu_0 only to print it.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 
 from . import kl
 from .characters import cone
-from .root_datum import Weight
+from .root_datum import Frozen, Weight
 from .trunc_weights import (TruncatedWeight, find_twisting_word, n_dot,
                             same_block, shifted_dot)
 
 
-@dataclass(frozen=True)
-class MultiplicityQuery:
-    datum: object
-    lam: TruncatedWeight
-    nu: TruncatedWeight
+class MultiplicityQuery(Frozen):
+    """[M_lam : L_nu] over a RootDatum, lam and nu TruncatedWeights."""
 
-    def __post_init__(self):
+    def __init__(self, datum, lam, nu):
         # the components of a truncated weight share one length
-        self.datum.check_rank(self.lam[0], self.nu[0])
-        if self.lam.level != self.nu.level:
+        datum.check_rank(lam[0], nu[0])
+        if lam.level != nu.level:
             raise ValueError("weights at different truncation levels")
+        object.__setattr__(self, "datum", datum)
+        object.__setattr__(self, "lam", lam)
+        object.__setattr__(self, "nu", nu)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return ((self.datum, self.lam, self.nu)
+                    == (other.datum, other.lam, other.nu))
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.datum, self.lam, self.nu))
 
 
-@dataclass
 class MultiplicityTrace:
     """Audit record of one query; children cover the recursive calls."""
 
-    kind: str                    # "zero", "base" or "reduce"
-    value: int
-    details: dict = field(default_factory=dict)
-    children: list = field(default_factory=list)
+    def __init__(self, kind, value, details=None, children=None):
+        self.kind = kind            # "zero", "base" or "reduce"
+        self.value = value
+        self.details = {} if details is None else details
+        self.children = [] if children is None else children
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return ((self.kind, self.value, self.details, self.children)
+                    == (other.kind, other.value, other.details, other.children))
+        return NotImplemented
 
     def to_dict(self):
         return {

@@ -24,16 +24,25 @@ same helper.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .root_datum import ReflectionGroup, Weight
+from .root_datum import Frozen
 
 
-@dataclass(frozen=True)
-class KLPolynomial:
+class KLPolynomial(Frozen):
     """Polynomial in q with integer coefficients, low degree first."""
 
-    coeffs: tuple
+    def __init__(self, coeffs):
+        object.__setattr__(self, "coeffs", coeffs)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.coeffs == other.coeffs
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.coeffs,))
+
+    def __repr__(self):
+        return "KLPolynomial(coeffs=%r)" % (self.coeffs,)
 
     def __call__(self, value):
         return sum(c * value ** k for k, c in enumerate(self.coeffs))
@@ -223,7 +232,6 @@ def integral_weyl_group(datum, lam0):
     return block_descriptor(datum, lam0).group
 
 
-@dataclass(eq=False)
 class BlockDescriptor:
     """The level-zero block through lam0, as the KL layer answers it.
 
@@ -246,15 +254,17 @@ class BlockDescriptor:
     and lam0, compared by identity.
     """
 
-    datum: object                   # the ambient RootDatum
-    simples: tuple                  # integral simples, ambient root coordinates
-    group: ReflectionGroup          # integral Weyl group
-    lam0: Weight
-    shifted: tuple                  # lam0 + rho, group coordinates
-    pairings: tuple                 # <alpha_k, beta_j^vee>, row j
-    dominant: tuple                 # dominant point of the orbit of shifted
-    drop: tuple                     # drop of shifted to dominant (see above)
-    y: tuple                        # vector of the shortest y (see above)
+    def __init__(self, datum, simples, group, lam0, shifted, pairings,
+                 dominant, drop, y):
+        self.datum = datum          # the ambient RootDatum
+        self.simples = simples      # integral simples, ambient root coordinates
+        self.group = group          # integral Weyl group, a ReflectionGroup
+        self.lam0 = lam0            # a Weight
+        self.shifted = shifted      # lam0 + rho, group coordinates
+        self.pairings = pairings    # <alpha_k, beta_j^vee>, row j
+        self.dominant = dominant    # dominant point of the orbit of shifted
+        self.drop = drop            # drop of shifted to dominant (see above)
+        self.y = y                  # vector of the shortest y (see above)
 
     def offset(self, drop):
         """sum_j (self.drop - drop)_j beta_j, in the datum's root

@@ -22,7 +22,6 @@ import collections
 import functools
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
@@ -72,11 +71,38 @@ def _simple_cartan_matrix(family, rank):
     return a
 
 
-@dataclass(frozen=True)
-class CartanType:
+class Frozen:
+    """Base of the immutable value classes.  A subclass sets its fields
+    once, in __init__, through object.__setattr__; any later assignment or
+    deletion raises AttributeError."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot assign to field %r of a %s"
+                             % (name, type(self).__name__))
+
+    def __delattr__(self, name):
+        raise AttributeError("cannot delete field %r of a %s"
+                             % (name, type(self).__name__))
+
+
+class CartanType(Frozen):
     """A product of irreducible finite Cartan types, e.g. A2 or A1xA1."""
 
-    factors: tuple
+    def __init__(self, factors):
+        object.__setattr__(self, "factors", factors)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.factors == other.factors
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.factors,))
+
+    def __repr__(self):
+        return "CartanType(factors=%r)" % (self.factors,)
 
     @classmethod
     def parse(cls, text):
@@ -137,17 +163,27 @@ def _ratio(num, den):
     return _exact(Fraction(num, den))
 
 
-@dataclass(frozen=True)
-class Weight:
+class Weight(Frozen):
     """A weight in fundamental-weight coordinates (exact rational entries)."""
 
-    coords: tuple
+    __slots__ = ("coords",)
 
     def __init__(self, coords):
         # a Fraction that is not integral is kept as it is
         object.__setattr__(self, "coords", tuple(
             c if type(c) is int or type(c) is Fraction and c.denominator != 1
             else _exact(c) for c in coords))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.coords == other.coords
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.coords,))
+
+    def __repr__(self):
+        return "Weight(coords=%r)" % (self.coords,)
 
     def __add__(self, other):
         if len(self.coords) != len(other.coords):

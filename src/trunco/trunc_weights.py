@@ -9,16 +9,13 @@ block is equivalent to, after twisting by a Weyl group element.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .root_datum import Weight
+from .root_datum import Frozen, Weight
 
 
-@dataclass(frozen=True)
-class TruncatedWeight:
+class TruncatedWeight(Frozen):
     """Highest weight (lambda_0, ..., lambda_n), each a Weight of g."""
 
-    components: tuple
+    __slots__ = ("components",)
 
     def __init__(self, components):
         components = tuple(components)
@@ -28,6 +25,17 @@ class TruncatedWeight:
             raise ValueError("components of unequal lengths: %s"
                              % ", ".join(str(c) for c in components))
         object.__setattr__(self, "components", components)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.components == other.components
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.components,))
+
+    def __repr__(self):
+        return "TruncatedWeight(components=%r)" % (self.components,)
 
     @property
     def level(self):

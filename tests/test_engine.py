@@ -200,6 +200,34 @@ def test_engine_matches_oracle_on_random_blocks(case):
         assert _value(datum, lam, nu) == dec.get(beta, 0), (type_str, lam, beta)
 
 
+# rank 3-4 blocks and level 2: integral, singular and non-integral lambda_0,
+# zero and nonzero tails
+_ORACLE_GATE = (
+    ("A3", _tw((1, 0, 1), (0, 0, 0)), 5),
+    ("C3", _tw((0, 0, 1), (0, 0, 0)), 5),
+    ("B3", _tw((0, 1, 0), (1, 0, 0)), 4),
+    ("A4", _tw((Fraction(1, 2), 0, 0, 1), (0, 0, 0, 0)), 4),
+    ("D4", _tw((1, 0, 0, 0), (0, 1, 0, 0)), 4),
+    ("F4", _tw((0, 0, 0, 0), (0, 0, 0, 0)), 3),
+    ("A2", _tw((1, Fraction(1, 2)), (0, 0), (1, 0)), 5),
+    ("G2", _tw((Fraction(1, 2), 1), (0, Fraction(1, 2))), 5),
+)
+
+
+@pytest.mark.parametrize("type_str, lam, depth", _ORACLE_GATE,
+                         ids=["%s %s" % (t, lam) for t, lam, _ in _ORACLE_GATE])
+def test_engine_matches_oracle_on_fixed_blocks(type_str, lam, depth):
+    datum = build_root_datum(type_str)
+    dec = oracle.verma_decomposition(datum, lam, depth)
+    wrong = []
+    for beta in cone(datum.rank, depth):
+        nu = TruncatedWeight((lam[0] - datum.root_weight(beta),) + lam.tail())
+        value = _value(datum, lam, nu)
+        if value != dec.get(beta, 0):
+            wrong.append((beta, value, dec.get(beta, 0)))
+    assert wrong == []
+
+
 def _refuse_listing(group):
     raise AssertionError("listed a group of %d generators" % group.num_gens)
 

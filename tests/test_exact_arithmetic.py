@@ -6,9 +6,11 @@ from fractions import Fraction
 
 import pytest
 
-from trunco import engine, linalg
-from trunco.engine import MultiplicityQuery, multiplicity
-from trunco.root_datum import Weight, build_root_datum
+from trunco import engine, kl, linalg
+from trunco.engine import MultiplicityQuery, MultiplicityTrace, multiplicity
+from trunco.characters import FormalCharacter
+from trunco.kl import KLPolynomial
+from trunco.root_datum import CartanType, Weight, build_root_datum
 from trunco.trunc_weights import TruncatedWeight
 
 TYPES = ("A1", "A3", "B3", "C3", "D4", "G2", "F4", "E6", "A1xA1")
@@ -59,6 +61,56 @@ def test_spellings_of_one_weight_agree():
         assert key in engine._VALUE_MEMO
         assert multiplicity(MultiplicityQuery(a2, lam, nu))[0] == value
     assert len(engine._VALUE_MEMO) == size
+    queries = [MultiplicityQuery(a2, lam, nu) for lam in lams]
+    cartans = [CartanType.parse(t) for t in ("A1xG2", " a1 x g2 ")]
+    cartans.append(CartanType((("A", 1), ("G", 2))))
+    # P_{s2, s2 s1 s3 s2} = 1 + q in A3, computed and written out
+    a3 = build_root_datum("A3").weyl_group()
+    polys = [kl.kl_polynomial(a3, a3.from_word((1,)), a3.from_word((1, 0, 2, 1))),
+             KLPolynomial((1, 1)), KLPolynomial(tuple([1, 1]))]
+    for same in (queries, cartans, polys):
+        for item in same:
+            assert item == same[0] and hash(item) == hash(same[0])
+            assert not item != same[0]
+    assert queries[0] != MultiplicityQuery(a2, lams[0], lams[0])
+    assert cartans[0] != CartanType.parse("G2xA1")
+    assert polys[0] != KLPolynomial((1,))
+    assert Weight((1, 0)) != (1, 0) and KLPolynomial((1,)) != (1,)
+
+
+def test_value_classes_are_frozen():
+    a2 = build_root_datum("A2")
+    weight = Weight((1, 0))
+    lam = TruncatedWeight((weight, weight))
+    frozen = [(weight, "coords"), (lam, "components"),
+              (CartanType.parse("A2"), "factors"),
+              (KLPolynomial((1, 1)), "coeffs"),
+              (MultiplicityQuery(a2, lam, lam), "lam")]
+    for item, field in frozen:
+        before = getattr(item, field)
+        with pytest.raises(AttributeError):
+            setattr(item, field, before)
+        with pytest.raises(AttributeError):
+            delattr(item, field)
+        with pytest.raises(AttributeError):
+            item.extra = 0
+        assert getattr(item, field) is before
+    # weights carry no per-instance dictionary
+    assert not hasattr(weight, "__dict__") and not hasattr(lam, "__dict__")
+    # the mutable records default to fresh containers
+    first, second = MultiplicityTrace("zero", 0), MultiplicityTrace("zero", 0)
+    first.details["reason"] = "r"
+    assert first == MultiplicityTrace("zero", 0, {"reason": "r"}) != second
+    assert second.to_dict() == {"kind": "zero", "value": 0, "details": {},
+                                "children": []}
+    assert FormalCharacter(weight, 1).table == {}
+    # one block descriptor per datum and lambda_0, equal only to itself
+    desc = kl.block_descriptor(a2, weight)
+    assert kl.block_descriptor(a2, weight) is desc
+    copy = kl.BlockDescriptor(*(getattr(desc, f) for f in (
+        "datum", "simples", "group", "lam0", "shifted", "pairings",
+        "dominant", "drop", "y")))
+    assert copy != desc and hash(copy) != hash(desc)
 
 
 def _fraction_inverse(datum):

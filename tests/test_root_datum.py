@@ -1,4 +1,5 @@
 import ast
+import json
 import os
 import pathlib
 import random
@@ -358,6 +359,35 @@ def test_guards_survive_optimized_mode():
                           env=dict(os.environ, PYTHONPATH=path),
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_package_root_loads_only_the_engine():
+    # the oracle and its Chevalley basis load on request, and no module of
+    # the package needs dataclasses (or the inspect module it pulls in);
+    # -S keeps site's own imports out of the check
+    code = textwrap.dedent("""
+        import json, sys
+        import trunco, trunco.cli
+        loaded = [name for name in ("dataclasses", "inspect", "trunco.oracle",
+                                    "trunco.chevalley") if name in sys.modules]
+        from trunco import oracle
+        a2 = trunco.build_root_datum("A2")
+        lam = trunco.TruncatedWeight([trunco.Weight((1, 0)),
+                                      trunco.Weight((1, -1))])
+        nu = trunco.TruncatedWeight([trunco.Weight((-1, -2)),
+                                     trunco.Weight((1, -1))])
+        query = trunco.MultiplicityQuery(a2, lam, nu)
+        print(json.dumps([loaded, trunco.multiplicity(query)[0],
+                          oracle.oracle_multiplicity(a2, lam, nu)]))
+        """)
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-S", "-c", code],
+                          env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    loaded, value, check = json.loads(proc.stdout)
+    assert loaded == []
+    assert value == check == 1
 
 
 def test_every_export_is_used_in_the_package():
