@@ -13,14 +13,17 @@ beta, by <lambda_0 - beta, alpha_i^vee>.  The lowering actions and every
 action of degree >= 1 are therefore the same for each module of the block,
 and the degree-0 raising and Cartan actions are affine in lambda_0, with
 integer coefficients on its entries; each module evaluates those at its own
-lambda_0.
+lambda_0.  Inside the block, monomials and generators are numbered, so the
+memoized actions are keyed by integers.
 
 Simple characters are extracted as quotients by the maximal proper
 submodule, which is computed weight space by weight space: a vector lies in
 it iff every degree-shifted raising generator maps it into the part already
-found.  Those conditions are the sparse rows of
-`TruncatedModule.generator_matrix`, scaled to integers and eliminated by
-integer combination; nothing is rounded and no floating point is used.
+found.  Each condition is a reduced row one level up times a raising
+generator's sparse matrix, scaled to integers; each weight space keeps its
+conditions in reduced integer echelon form, so a row has at most 1 + dim N
+entries where N is the part found.  Nothing is rounded and no floating
+point is used.
 """
 
 from __future__ import annotations
@@ -41,12 +44,16 @@ def _reads_lambda0(gen):
     return gen[2] == 0 and gen[0] != "f"
 
 
-def _evaluate(terms, values):
-    """{key: sum of c * values[j]} over terms {(key, j): c}, zeros dropped."""
+def _combine(rows, u, width, values):
+    """sum of u[r] * rows[r] over u {r: coefficient}, as {column: value},
+    zeros dropped: an entry k of a block row lies in column k // width and
+    is multiplied by values[k % width]."""
     out = {}
-    for (k, j), c in terms.items():
-        out[k] = out.get(k, 0) + c * values[j]
-    return {k: c for k, c in out.items() if c}
+    for r, cu in u.items():
+        for k, c in rows.get(r, {}).items():
+            col, j = divmod(k, width)
+            out[col] = out.get(col, 0) + cu * c * values[j]
+    return {col: v for col, v in out.items() if v}
 
 
 class _Block:
@@ -54,12 +61,20 @@ class _Block:
     up to a depth: the PBW basis, each generator's action on it, and the
     generator matrices on its weight spaces.
 
-    The basis and every action are computed once, whatever lambda_0 is.
-    The action of a generator that reads lambda_0 (`_reads_lambda0`) is
-    stored with keys (monomial, j): the coefficient of values[j], where
-    values = (1,) + the coordinates of lambda_0.  Every other action is
-    {monomial: coefficient} as it is.  The basis is walked when the first
-    module takes its window, so a block that builds no module costs little.
+    `spaces` and `position` hold the PBW monomials as tuples, each space
+    in lexicographic order.  Inside the block a monomial is a number: 0 is
+    the empty monomial, and every other one is its head generator's
+    position prepended to the number of the rest, through one table keyed
+    by (rest, head); `number` and `monomial` translate.  A generator is a
+    number too: f_(r,d) at its position, then e, then h.  Actions are
+    memoized under these numbers, and the basis and every action are
+    computed once, whatever lambda_0 is.  The action of a generator that
+    reads lambda_0 (`_reads_lambda0`) is {m * width + j: coefficient of
+    values[j]}, where values = (1,) + the coordinates of lambda_0 and
+    width = rank + 1; every other action is {m: coefficient}.  A lowering
+    image past the depth is numbered when first met, outside the basis.
+    The basis is walked when the first module takes its window, so a block
+    that builds no module costs little.
     """
 
     def __init__(self, datum, tail, depth):
@@ -70,38 +85,69 @@ class _Block:
         self.chev = ChevalleyBasis.get(datum)
         self.spaces = None
         self.position = {}      # monomial -> index in its space
-        self._acts = {}
-        self._matrices = {}
-        # <root, alpha_i^vee> by simple index i and positive root index
-        self._pairings = [[sum(a * r for a, r in zip(row, root))
-                           for root in self.chev.roots] for row in datum.cartan]
+        self.width = datum.rank + 1
+        degrees = range(self.n + 1)
+        gens = self._gens = [(k, i, d) for k in ("f", "e") for i in
+                             range(len(self.chev.roots)) for d in degrees]
+        self._nf = len(gens) // 2
+        gens += [("h", i, d) for i in range(datum.rank) for d in degrees]
+        self._code = {gen: g for g, gen in enumerate(gens)}
+        self._ncodes = len(gens)
+        self._affine = [_reads_lambda0(gen) for gen in gens]
+        # by monomial number: head position (_nf for the empty monomial),
+        # rest, weight, and index in its space (set by the walk; None past
+        # the depth)
+        self._head, self._rest = [self._nf], [0]
+        self._weight, self._pos = [(0,) * datum.rank], None
+        self._prepended, self._acts = {}, {}
+        self._brackets, self._matrices = {}, {}
 
     def _walk(self):
-        spaces = self.spaces = {beta: [] for beta in cone(self.datum.rank,
-                                                          self.depth)}
-        position, depth = self.position, self.depth
-        # generators in position order, of nondecreasing height
-        gens = [((ri, d), root, height(root))
-                for ri, root in enumerate(self.chev.roots)
-                for d in range(self.n + 1)]
+        rank, depth, nf = self.datum.rank, self.depth, self._nf
+        spaces = self.spaces = {beta: [] for beta in cone(rank, depth)}
+        ids = self._ids = {beta: [] for beta in spaces}
+        heads, rests, weights = self._head, self._rest, self._weight
+        prepended, appended = self._prepended, {}
+        fgens = [gen[1:] for gen in self._gens[:nf]]
+        roots = [self.chev.roots[ri] for ri, _ in fgens]
+        above = {beta: [tuple(b + r for b, r in zip(beta, root))
+                        for root in roots] for beta in spaces}
+        # f positions run by nondecreasing height: those below stop[ht]
+        # fit above a monomial of height ht
+        heights = [height(root) for root in roots]
+        stop = [sum(h <= depth - ht for h in heights)
+                for ht in range(depth + 1)]
 
-        def rec(mono, beta, ht, start):
-            # depth first over nondecreasing positions, so that each space
-            # fills in lexicographic order
-            space = spaces[beta]
-            position[mono] = len(space)
-            space.append(mono)
-            if len(position) > MAX_TOTAL_DIMENSION:
-                raise ValueError("truncated Verma module exceeds size budget")
-            for pos in range(start, len(gens)):
-                gen, root, h = gens[pos]
-                if ht + h > depth:
-                    break
-                rec(mono + (gen,), tuple(b + r for b, r in zip(beta, root)),
-                    ht + h, pos)
+        def rec(m, mono, beta, ht, rest, start):
+            # depth first, over nondecreasing positions taken in decreasing
+            # order, so each space fills in decreasing lexicographic order.
+            # A monomial's rest is then numbered before it: the rest of a
+            # power of one generator is its parent, and any other rest is
+            # lexicographically larger and no prefix of it
+            spaces[beta].append(mono)
+            ids[beta].append(m)
+            for p in range(stop[ht] - 1, start - 1, -1):
+                c = len(heads)
+                if c >= MAX_TOTAL_DIMENSION:
+                    raise ValueError(
+                        "truncated Verma module exceeds size budget")
+                crest = appended[rest * nf + p] if m else 0
+                head = heads[m] if m else p
+                heads.append(head)
+                rests.append(crest)
+                weights.append(above[beta][p])
+                prepended[crest * nf + head] = appended[m * nf + p] = c
+                rec(c, mono + (fgens[p],), weights[c], ht + heights[p],
+                    crest, p)
 
-        rec((), (0,) * self.datum.rank, 0, 0)
+        rec(0, (), weights[0], 0, 0, 0)
         del rec     # break the cycle rec -> cell -> rec
+        self._pos = [0] * len(heads)
+        for beta, space in spaces.items():
+            space.reverse()
+            ids[beta].reverse()
+            for k, (mono, m) in enumerate(zip(space, ids[beta])):
+                self.position[mono] = self._pos[m] = k
 
     def window(self, depth):
         """The weight spaces of height at most depth, in cone order."""
@@ -109,6 +155,35 @@ class _Block:
             self._walk()
         return {beta: self.spaces[beta]
                 for beta in cone(self.datum.rank, depth)}
+
+    def _prepend(self, m, p):
+        """The number of the monomial f_p m, where p is at most m's head."""
+        key = m * self._nf + p
+        out = self._prepended.get(key)
+        if out is None:
+            out = self._prepended[key] = len(self._head)
+            self._head.append(p)
+            self._rest.append(m)
+            root = self.chev.roots[self._gens[p][1]]
+            self._weight.append(tuple(b + r for b, r in
+                                      zip(self._weight[m], root)))
+            self._pos.append(None)
+        return out
+
+    def number(self, mono):
+        """The number of a PBW monomial, a tuple of (root index, degree)."""
+        m = 0
+        for ri, d in reversed(mono):
+            m = self._prepend(m, ri * (self.n + 1) + d)
+        return m
+
+    def monomial(self, m):
+        """The PBW monomial numbered m."""
+        mono = []
+        while m:
+            mono.append(self._gens[self._head[m]][1:])
+            m = self._rest[m]
+        return tuple(mono)
 
     def bracket(self, gen1, gen2):
         """Bracket of two degree-shifted generators, dropping t^(>n); the
@@ -123,62 +198,67 @@ class _Block:
                                  for c, (k, r) in chev.bracket(x, y)]
         return chev.shifted[key]
 
-    def act(self, gen, mono):
-        """Action of a generator (kind, index, degree) on a PBW monomial, in
-        PBW normal form, keyed as the class docstring says.  h_(i,0) acts
-        on a monomial of weight beta by <lambda_0 - beta, alpha_i^vee>, and
-        the recursion for e_(i,0) is linear in that action.
+    def act(self, g, m):
+        """Action of generator g on monomial m, in PBW normal form, both by
+        number and keyed as the class docstring says.  h_(i,0) acts on a
+        monomial of weight beta by <lambda_0 - beta, alpha_i^vee>, and the
+        recursion for e_(i,0) is linear in that action.
         """
-        kind, i, d = gen
-        if kind == "f" and (not mono or (i, d) <= mono[0]):
-            return {((i, d),) + mono: 1}
-        if kind == "h" and not d:
-            out = {(mono, i + 1): 1}
-            shift = sum(self._pairings[i][ri] for ri, _ in mono)
-            if shift:
-                out[(mono, 0)] = -shift
-            return out
-        key = (gen, mono)
+        key = m * self._ncodes + g
         out = self._acts.get(key)
         if out is not None:
             return out
-        if not mono:
+        kind, i, d = self._gens[g]
+        head = self._head[m]
+        if kind == "f" and g <= head:
+            out = {self._prepend(m, g): 1}
+        elif kind == "h" and not d:
+            w = m * self.width
+            shift = sum(a * b for a, b in zip(self.datum.cartan[i],
+                                              self._weight[m]))
+            out = {w + i + 1: 1, w: -shift} if shift else {w + i + 1: 1}
+        elif not m:
             c = self.tail[d - 1].coords[i] if kind == "h" else 0
-            out = {(): c} if c else {}
+            out = {0: c} if c else {}
         else:
-            # gen f_head rest = f_head (gen rest) + [gen, f_head] rest, and
-            # f_head m is m with head prepended when head comes first
-            head, rest = mono[0], mono[1:]
-            fhead = ("f", head[0], head[1])
+            # g f_head rest = f_head (g rest) + [g, f_head] rest, and f_head t
+            # is t with head prepended when head comes first; memo hits are
+            # read here, not through a call
+            act, acts = self.act, self._acts
+            heads, table = self._head, self._prepended
+            ncodes, nf, rest = self._ncodes, self._nf, self._rest[m]
+            width = self.width if self._affine[g] else 1
             out = {}
-            if _reads_lambda0(gen):
-                for (m, j), c in self.act(gen, rest).items():
-                    if not m or head <= m[0]:
-                        k = ((head,) + m, j)
-                        out[k] = out.get(k, 0) + c
-                        continue
-                    for m2, c2 in self.act(fhead, m).items():
-                        k = (m2, j)
-                        out[k] = out.get(k, 0) + c * c2
-                for cb, el in self.bracket(gen, fhead):
-                    if _reads_lambda0(el):
-                        for k, c in self.act(el, rest).items():
-                            out[k] = out.get(k, 0) + cb * c
-                    else:
-                        for m, c in self.act(el, rest).items():
-                            k = (m, 0)
-                            out[k] = out.get(k, 0) + cb * c
-            else:
-                for m, c in self.act(gen, rest).items():
-                    if not m or head <= m[0]:
-                        m2 = (head,) + m
-                        out[m2] = out.get(m2, 0) + c
-                        continue
-                    for m2, c2 in self.act(fhead, m).items():
-                        out[m2] = out.get(m2, 0) + c * c2
-                for cb, el in self.bracket(gen, fhead):
-                    for m, c in self.act(el, rest).items():
-                        out[m] = out.get(m, 0) + cb * c
+            terms = acts.get(rest * ncodes + g)
+            if terms is None:
+                terms = act(g, rest)
+            for k, c in terms.items():
+                t, j = divmod(k, width)
+                if head <= heads[t]:
+                    # a prepended monomial is never 0, the empty one
+                    t = table.get(t * nf + head) or self._prepend(t, head)
+                    k = t * width + j
+                    out[k] = out.get(k, 0) + c
+                    continue
+                moved = acts.get(t * ncodes + head)
+                if moved is None:
+                    moved = act(head, t)
+                for t, c2 in moved.items():
+                    k = t * width + j
+                    out[k] = out.get(k, 0) + c * c2
+            bkey = g * nf + head
+            if bkey not in self._brackets:
+                self._brackets[bkey] = [
+                    (c, self._code[el]) for c, el in
+                    self.bracket(self._gens[g], self._gens[head])]
+            for cb, el in self._brackets[bkey]:
+                scale = 1 if self._affine[el] else width
+                terms = acts.get(rest * ncodes + el)
+                if terms is None:
+                    terms = act(el, rest)
+                for k, c in terms.items():
+                    k *= scale
+                    out[k] = out.get(k, 0) + cb * c
             if not all(out.values()):
                 out = {k: c for k, c in out.items() if c}
         self._acts[key] = out
@@ -187,30 +267,31 @@ class _Block:
     def matrix(self, gen, beta):
         """Sparse rows {target position: {entry: coefficient}} of the
         generator on the weight space at beta, and the target beta; an entry
-        is a source position, or (source position, j) when the generator
+        is a source position col, or col * width + j when the generator
         reads lambda_0.  A lowering image past the block's depth is
         dropped; any other image outside the basis raises RuntimeError."""
         key = (gen, beta)
         hit = self._matrices.get(key)
         if hit is not None:
             return hit
-        kind = gen[0]
+        kind, g = gen[0], self._code[gen]
         if kind == "h":
             target = beta
         else:
             sign = -1 if kind == "e" else 1
             target = tuple(b + sign * r
                            for b, r in zip(beta, self.chev.roots[gen[1]]))
-        affine, position = _reads_lambda0(gen), self.position
-        rows = {}
-        for col, mono in enumerate(self.spaces[beta]):
-            for k, c in self.act(gen, mono).items():
-                row = position.get(k[0] if affine else k)
+        width = self.width if self._affine[g] else 1
+        position, rows = self._pos, {}
+        for col, m in enumerate(self._ids[beta]):
+            for k, c in self.act(g, m).items():
+                t, j = divmod(k, width)
+                row = position[t]
                 if row is None:
                     if kind != "f":
                         raise RuntimeError("action left the depth window")
                     continue
-                rows.setdefault(row, {})[(col, k[1]) if affine else col] = c
+                rows.setdefault(row, {})[col * width + j] = c
         hit = self._matrices[key] = rows, target
         return hit
 
@@ -261,8 +342,11 @@ class TruncatedModule:
         Returns {monomial: coefficient} in PBW normal form.  Coefficients
         are ints; only a non-integral entry of lambda makes them Fractions.
         """
-        out = self.block.act(gen, mono)
-        return _evaluate(out, self._values) if _reads_lambda0(gen) else out
+        block = self.block
+        width = block.width if _reads_lambda0(gen) else 1
+        out = block.act(block._code[gen], block.number(mono))
+        out = _combine({0: out}, {0: 1}, width, self._values)
+        return {block.monomial(m): c for m, c in out.items()}
 
     def generator_matrix(self, gen, beta):
         """Sparse rows {target position: {source position: coefficient}} of
@@ -277,10 +361,9 @@ class TruncatedModule:
                 raise RuntimeError("action left the depth window")
             return {}, target
         if _reads_lambda0(gen):
-            values = self._values
-            rows = {r: out for r, out in
-                    ((r, _evaluate(row, values)) for r, row in rows.items())
-                    if out}
+            rows = {r: out for r, out in (
+                (r, _combine(rows, {r: 1}, self.block.width, self._values))
+                for r in rows) if out}
         return rows, target
 
     def dimension(self, beta):
@@ -298,66 +381,90 @@ def build_verma(datum, lam, depth):
     return module
 
 
-def _raising_rows(module, gen, beta):
-    """`generator_matrix` of a raising generator at beta, scaled by one
-    common factor (the lcm of its denominators) to integers.  When every
-    entry of lambda is an int the rows are ints already, and are returned
-    as they are."""
-    rows, _ = module.generator_matrix(gen, beta)
-    if module._integral:
-        return rows
-    scale = lcm(*(c.denominator for row in rows.values() for c in row.values()))
-    return {r: {col: c.numerator * (scale // c.denominator)
-                for col, c in row.items()}
-            for r, row in rows.items()}
+def _constraint_rows(module, gen, beta, upper=None):
+    """The nonzero rows u A, as {source position: int}, for u in upper,
+    each {target position: coefficient}, where A is the raising generator's
+    matrix at beta; by default the rows of A itself.  The lambda_0-affine
+    entries of the block's rows are evaluated at the module's lambda_0 as
+    they are read, and each row is scaled by its own denominators to
+    integers."""
+    rows, target = module.block.matrix(gen, beta)
+    if target not in module.spaces:
+        if rows:
+            raise RuntimeError("action left the depth window")
+        return
+    width = module.block.width if _reads_lambda0(gen) else 1
+    values = module._values
+    for u in ({r: 1} for r in rows) if upper is None else upper:
+        out = _combine(rows, u, width, values)
+        if out and not module._integral:
+            scale = lcm(*(v.denominator for v in out.values()))
+            out = {c: v.numerator * (scale // v.denominator)
+                   for c, v in out.items()}
+        if out:
+            yield out
 
 
 def _eliminate(basis, row):
-    """Add an integer row {col: value} to the span of basis {pivot: row}.
-
-    Each basis row's least column is its pivot, and it is stored divided
-    by the gcd of its entries. The row (copied once) is combined in place
-    with basis rows, in integers, until it is zero or its least column is a
-    new pivot. Until then it differs only by a positive factor from the
-    row that a division at every step would give, so the stored row is the
-    same.
+    """Add an integer row {col: nonzero value} to the span of basis
+    {pivot: row}, kept in reduced echelon form: each row is primitive, its
+    least column is its pivot, with a positive entry, and no other row has
+    an entry in a pivot column.  Every step scales a row by a nonzero
+    factor or subtracts a multiple of another row, so the span is
+    unchanged; when the joint kernel of the rows has dimension k, each row
+    has at most 1 + k entries.  The row may be modified.
     """
-    row = {c: v for c, v in row.items() if v}
-    while row:
-        pivot = min(row)
-        other = basis.get(pivot)
-        if other is None:
-            g = gcd(*row.values())
+    for pivot in [c for c in row if c in basis]:
+        _reduce(row, basis[pivot], pivot)
+    if not row:
+        return
+    pivot = min(row)
+    g = gcd(*row.values())
+    if row[pivot] < 0:
+        g = -g
+    if g != 1:
+        for c in row:
+            row[c] //= g
+    for other in basis.values():
+        if pivot in other:
+            _reduce(other, row, pivot)
+            g = gcd(*other.values())
             if g != 1:
-                for c in row:
-                    row[c] //= g
-            basis[pivot] = row
-            return
-        g = gcd(other[pivot], row[pivot])
-        a, b = other[pivot] // g, row[pivot] // g
-        if a != 1:
-            for c in row:
-                row[c] *= a
-        for c, v in other.items():
-            w = row.get(c, 0) - b * v
-            if w:
-                row[c] = w
-            else:
-                del row[c]
+                for c in other:
+                    other[c] //= g
+    basis[pivot] = row
+
+
+def _reduce(row, other, pivot):
+    """Clear row's entry at pivot in place with other, whose entry there is
+    positive, scaling row by a positive integer."""
+    g = gcd(other[pivot], row[pivot])
+    a, b = other[pivot] // g, row[pivot] // g
+    if a != 1:
+        for c in row:
+            row[c] *= a
+    for c, v in other.items():
+        w = row.get(c, 0) - b * v
+        if w:
+            row[c] = w
+        else:
+            del row[c]
 
 
 def simple_character(module):
     """Character of the simple quotient of the Verma, to the module depth.
 
-    For each weight space, the maximal submodule consists of the vectors
-    mapped into the maximal submodule one level up by every raising
-    generator attached to a simple root; the quotient dimensions assemble
-    the character.
+    For each weight space, the maximal submodule N consists of the vectors
+    mapped into N one level up by every raising generator attached to a
+    simple root.  The conditions are `_constraint_rows` of the reduced
+    rows one level up, whose joint kernel is N there; each space keeps its
+    own in reduced echelon form (`_eliminate`), and their rank is the
+    quotient dimension.
     """
     datum = module.datum
     rank = datum.rank
     simple_idx = [module.chev.index[datum.simple_root(i)] for i in range(rank)]
-    constraints = {}    # beta -> basis rows whose joint kernel is N^beta
+    constraints = {}    # beta -> reduced rows whose joint kernel is N^beta
     table = {}
     for beta in sorted(module.spaces, key=lambda b: (height(b), b)):
         dim = module.dimension(beta)
@@ -372,12 +479,8 @@ def simple_character(module):
             if not upper:       # N is everything there: no condition
                 continue
             for deg in range(module.n + 1):
-                images = _raising_rows(module, ("e", ri, deg), beta)
-                for crow in upper:
-                    row = {}
-                    for r, cr in crow.items():
-                        for c, v in images.get(r, {}).items():
-                            row[c] = row.get(c, 0) + cr * v
+                for row in _constraint_rows(module, ("e", ri, deg), beta,
+                                            upper):
                     _eliminate(basis, row)
         constraints[beta] = list(basis.values())
         table[beta] = len(basis)
@@ -396,7 +499,7 @@ def invariants_character(module, levi_indices):
         basis = {}
         for ri in outside:
             for deg in range(module.n + 1):
-                for row in _raising_rows(module, ("e", ri, deg), beta).values():
+                for row in _constraint_rows(module, ("e", ri, deg), beta):
                     _eliminate(basis, row)
         table[beta] = module.dimension(beta) - len(basis)
     return FormalCharacter(base=module.lam[0], depth=module.depth, table=table)

@@ -211,6 +211,16 @@ _ORACLE_GATE = (
     ("F4", _tw((0, 0, 0, 0), (0, 0, 0, 0)), 3),
     ("A2", _tw((1, Fraction(1, 2)), (0, 0), (1, 0)), 5),
     ("G2", _tw((Fraction(1, 2), 1), (0, Fraction(1, 2))), 5),
+    ("A3", _tw((1, -1, 0), (0, 0, 0), (1, 0, 0)), 4),
+    ("B3", _tw((0, -1, 1), (0, 0, 0), (0, 0, 0)), 3),
+    ("C3", _tw((Fraction(1, 2), 0, 1), (1, 0, 0)), 4),
+    ("B3", _tw((1, Fraction(1, 2), 0), (0, 0, 1)), 4),
+    ("C3", _tw((0, 1, -1), (0, 0, 0), (0, 1, 0)), 3),
+    ("D4", _tw((0, Fraction(1, 2), 0, 1), (0, 0, 0, 0)), 3),
+    ("F4", _tw((1, 0, 0, -1), (0, 0, 1, 0)), 3),
+    ("A4", _tw((0, -1, 0, 1), (0, 0, 0, 0), (0, 0, 0, 0)), 3),
+    ("A3", _tw((Fraction(1, 3), 0, Fraction(2, 3)), (1, -1, 0)), 5),
+    ("B3", _tw((0, 0, 0), (1, 0, 0), (0, 0, 0)), 4),
 )
 
 

@@ -1,5 +1,6 @@
 import gc
 import itertools
+import math
 import random
 import weakref
 
@@ -89,27 +90,46 @@ def test_module_size_budget(monkeypatch):
         TruncatedModule(a2, lam, 3)
 
 
-def test_raising_rows_scale_generator_matrix_to_integers():
-    from trunco.oracle import _raising_rows
+def _exact_combination(rows, u):
+    out = {}
+    for r, cu in u.items():
+        for c, v in rows.get(r, {}).items():
+            out[c] = out.get(c, 0) + cu * v
+    return {c: v for c, v in out.items() if v}
+
+
+def test_constraint_rows_are_integer_multiples_of_exact_rows():
+    # by default the helper reads the matrix's own rows; given rows u, it
+    # forms u A.  Either way each row is scaled on its own to integers
+    from trunco.oracle import _constraint_rows
     a2 = build_root_datum("A2")
     module = TruncatedModule(a2, _tw((Fraction(1, 3), Fraction(2, 3)), (0, 1)), 3)
+    rng = random.Random(3)
     scales = set()
     for beta in module.spaces:
         for ri in range(len(module.chev.roots)):
             for deg in range(module.n + 1):
                 gen = ("e", ri, deg)
-                rows = _raising_rows(module, gen, beta)
-                exact, _ = module.generator_matrix(gen, beta)
-                assert ({r: row.keys() for r, row in rows.items()}
-                        == {r: row.keys() for r, row in exact.items()})
-                pairs = [(v, exact[r][c]) for r, row in rows.items()
-                         for c, v in row.items()]
-                assert all(type(v) is int for v, _ in pairs)
-                if pairs:
-                    scale = Fraction(pairs[0][0]) / pairs[0][1]
-                    assert scale > 0
-                    assert all(v == scale * x for v, x in pairs)
-                    scales.add(scale)
+                exact, target = module.generator_matrix(gen, beta)
+                got = list(_constraint_rows(module, gen, beta))
+                want = list(exact.values())
+                if target in module.spaces:
+                    dim = module.dimension(target)
+                    uppers = [{r: rng.choice((-2, 1, 3))
+                               for r in rng.sample(range(dim), min(2, dim))}
+                              for _ in range(3)]
+                    got += _constraint_rows(module, gen, beta, uppers)
+                    want += filter(None, (_exact_combination(exact, u)
+                                          for u in uppers))
+                assert len(got) == len(want)
+                for row, ref in zip(got, want):
+                    assert row.keys() == ref.keys()
+                    assert all(type(v) is int for v in row.values())
+                    col = next(iter(row))
+                    scale = Fraction(row[col]) / ref[col]
+                    assert scale != 0
+                    assert all(v == scale * ref[c] for c, v in row.items())
+                    scales.add(abs(scale))
     assert max(scales) > 1
 
 
@@ -224,7 +244,7 @@ def test_sparse_eliminations_match_dense_reference(type_str, comps, depth):
             dense_oracle.invariants_character(module, levi).table
 
 
-def test_in_place_elimination_matches_the_first_form(monkeypatch):
+def test_elimination_keeps_reduced_echelon_form(monkeypatch):
     # the rows the B2 module at (1,1),(1,-1), depth 6, eliminates, one list
     # per basis, then seeded random rows with repeats and multiples
     runs = []
@@ -254,11 +274,21 @@ def test_in_place_elimination_matches_the_first_form(monkeypatch):
                              for c in rng.sample(range(8), rng.randint(0, 6))})
         batches.append(rows)
     for rows in batches:
-        new, old = {}, {}
+        rows = [{c: v for c, v in row.items() if v} for row in rows]
+        basis = {}
         for row in rows:
-            oracle._eliminate(new, dict(row))
-            dense_oracle.eliminate(old, dict(row))
-        assert new == old, rows
+            oracle._eliminate(basis, dict(row))
+        reference = dense_oracle.reduced_echelon(rows)
+        assert basis.keys() == reference.keys(), rows
+        for pivot, row in basis.items():
+            # a positive multiple of the reference row, primitive, and
+            # zero in every other pivot column
+            ref = reference[pivot]
+            assert row.keys() == ref.keys() and min(row) == pivot
+            assert row[pivot] > 0
+            assert all(v == row[pivot] * ref[c] for c, v in row.items())
+            assert math.gcd(*row.values()) == 1
+            assert not any(c in basis for c in row if c != pivot)
 
 
 def test_dropped_module_is_freed_without_the_cycle_collector():
@@ -461,6 +491,32 @@ def test_modules_built_in_one_block_equal_modules_built_alone(
                 assert shared.generator_matrix(gen, gamma) == \
                     alone.generator_matrix(gen, gamma), (eta, gen, gamma)
         assert simple_character(shared) == simple_character(alone)
+
+
+# (type, components, depth): the four oracle-verify blocks, G2 at level 2,
+# B3 and A3 with a non-integral lambda_0
+ACTION_BLOCKS = (
+    ("A2", ((1, 1), (0, 0), (0, 0)), 6),
+    ("A2", ((0, 1), (1, -1)), 6),
+    ("B2", ((1, 1), (1, -1)), 6),
+    ("A1xA1", ((0, 0), (0, 0), (0, 0)), 6),
+    ("G2", ((1, 0), (0, 1), (1, 1)), 4),
+    ("B3", ((0, 1, 0), (1, 0, -1)), 3),
+    ("A3", ((HALF, 0, 1), (0, 0, 0)), 3),
+)
+
+
+@pytest.mark.parametrize("type_str, comps, depth", ACTION_BLOCKS)
+def test_numbered_action_matches_the_tuple_keyed_one(type_str, comps, depth):
+    datum = build_root_datum(type_str)
+    lam = _tw(*comps)
+    module = TruncatedModule(datum, lam, depth)
+    reference = dense_oracle.TupleBlock(datum, lam, depth)
+    assert module.spaces == reference.spaces
+    for beta in module.spaces:
+        for gen in _all_generators(module):
+            assert module.generator_matrix(gen, beta) == \
+                reference.generator_matrix(gen, beta), (gen, beta)
 
 
 def test_a_module_outside_its_block_is_refused():
