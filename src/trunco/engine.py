@@ -1,15 +1,17 @@
 """Composition multiplicities [M_Lambda : L_N] at any truncation level.
 
-The computation reduces level n to level n-1: twist the block by the
-minimal Weyl group element making the top tail component singular along a
-standard Levi, apply the n-shifted dot action, drop the (now trivial) top
-component, restrict to the Levi, and convolve with the Levi's Kostant
-partition function.  Level zero is classical category O, answered by
-Kazhdan-Lusztig polynomials at q = 1.  The twisting word, the Levi and the
-twisted tail depend only on the block, so the datum keeps one plan per tail.
-A query checks nu against lambda once; the recursion then carries the offset
-beta = lambda_0 - nu_0 (Z>=0, in simple roots) and twists only lambda_0 and
-beta, not at all when the block's twisting word is empty.  A child's
+The computation reduces level n to level n-1: twist the block by a Weyl
+group element making the top tail component singular along a standard Levi
+(the walk toward the dominant chamber of `find_twisting_word`; the value
+does not depend on which such element), apply the n-shifted dot action,
+drop the (now trivial) top component, restrict to the Levi, and convolve
+with the Levi's Kostant partition function.  Level zero is classical
+category O, answered by Kazhdan-Lusztig polynomials at q = 1.  The
+twisting word, the Levi and the twisted tail depend only on the block, so
+the datum keeps one plan per tail.  A query checks nu against lambda once;
+the recursion then carries the offset beta = lambda_0 - nu_0 (Z>=0, in
+simple roots) and twists only lambda_0 and beta, not at all when the
+block's twisting word is empty.  A child's
 lambda_0 is the Levi part of the twisted lambda_0 minus the Levi's Cartan
 matrix times alpha, in integers.  The level-zero leaf answers from lambda_0
 and beta (see `kl.leaf_polynomial`); the trace prints that leaf's own
@@ -139,15 +141,12 @@ def _block_plan(datum, lam):
     w(lambda_1), ..., w(lambda_(n-1)) restricted to J).
 
     The datum keeps one plan per tail, built on first use from one twisting
-    search per top component.
+    search on its top component.
     """
     tail = lam.tail()
     plan = datum._plans.get(tail)
     if plan is None:
-        twist = datum._twists.get(tail[-1])
-        if twist is None:
-            twist = datum._twists[tail[-1]] = find_twisting_word(datum, tail[-1])
-        word, levi = twist
+        word, levi = find_twisting_word(datum, tail[-1])
         twisted = n_dot(datum, word, lam)
         plan = datum._plans[tail] = (
             word, levi, twisted.tail(), datum.sub_datum(levi),

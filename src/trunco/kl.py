@@ -209,10 +209,10 @@ def integral_subsystem(datum, lam0):
     """
     datum.check_rank(lam0)
     if all(type(c) is int for c in lam0.coords):
-        # every coroot pairs integrally with lam0 + rho, and a positive
-        # root above height one is a positive root plus a simple one
-        positive = list(datum.positive_roots)
-        return positive, [r for r in positive if sum(r) == 1]
+        # every coroot pairs integrally with lam0 + rho; the simples are
+        # the datum's own, in its order, so the integral group is its W
+        return (list(datum.positive_roots),
+                [datum.simple_root(i) for i in range(datum.rank)])
     shifted = lam0 + datum.rho
     positive = [r for r in datum.positive_roots
                 if datum.pairing(shifted, r).denominator == 1]

@@ -242,9 +242,8 @@ class RootDatum:
     Cartan matrix, which owns the tables the matrix determines: reflection
     groups (one per Cartan matrix: its own, and those of the integral
     subsystems of its blocks), Kostant partitions, and the per-block work of
-    the engine and the KL layer (twisting words, block plans, block
-    descriptors).  A datum built by `RootDatum(cartan)` is not interned and
-    shares none of these.
+    the engine and the KL layer (block plans, block descriptors).  A datum
+    built by `RootDatum(cartan)` is not interned and shares none of these.
     """
 
     _interned = {}
@@ -267,9 +266,8 @@ class RootDatum:
         self._inverse_den = den
         self.rho = Weight((1,) * self.rank)
         self._groups = {}
-        # filled by the engine and the KL layer: twisting words by top
-        # component, block plans by tail, block descriptors by lambda_0
-        self._twists = {}
+        # filled by the engine and the KL layer: block plans by tail, block
+        # descriptors by lambda_0
         self._plans = {}
         self._descriptors = {}
 
@@ -465,12 +463,11 @@ class ReflectionGroup:
 
     Elements are interned on first sight as small ids: `_vecs[w]` is the
     vector of id w, `length[w]` its length, and `lmul[i][w]` the id of
-    s_i w, reflected on first lookup.  `layers` walks the group breadth
-    first and gives each element its canonical word.  Listing the group
-    (`elements`, `from_word`, `longest_element`) reads that walk to the end
-    and keeps every id, so what was kept by id before (Bruhat intervals,
-    KL columns) stays valid.  Listing a group whose `order` exceeds 400000
-    is refused before the walk starts.
+    s_i w, reflected on first lookup.  Listing the group (`elements`,
+    `from_word`, `longest_element`) walks it breadth first, gives each
+    element its canonical word, and keeps every id, so what was kept by id
+    before (Bruhat intervals, KL columns) stays valid.  Listing a group
+    whose `order` exceeds 400000 is refused before the walk starts.
     """
 
     def __init__(self, cartan):
@@ -573,19 +570,23 @@ class ReflectionGroup:
         """l(w0), the number of walls crossed from -rho_J to rho_J."""
         return len(self.descend((-1,) * self.num_gens)[1])
 
-    # -- the canonical walk and listing --------------------------------
+    # -- listing ------------------------------------------------------
 
-    def layers(self):
-        """The elements breadth first, one layer of (canonical word, id)
-        per length, sorted by word.  A new element takes the word
-        (i,) + word(u) of the first u in the layer before, and for that u
-        the least i, with s_i u equal to it.  The walk steps through `lmul`
-        and interns what it meets; the twisting search and listing both
-        read it."""
+    def _materialize(self):
+        """List the group breadth first, one layer per length sorted by
+        canonical word.  A new element takes the word (i,) + word(u) of the
+        first u in the layer before, and for that u the least i, with s_i u
+        equal to it.  The walk steps through `lmul`, so every id is kept."""
+        if self._elements is not None:
+            return
+        # no Weyl group of rank at most 6 outgrows |W(E6)| = 51840
+        if self.num_gens > 6 and self.order > 400000:
+            raise ValueError("reflection group of order %d too large to "
+                             "materialize" % self.order)
         lmul = self.lmul
-        before, layer = set(), [((), 0)]
+        elements, before, layer = [], set(), [((), 0)]
         while layer:
-            yield layer
+            elements.extend(WeylElement(self, w, word) for word, w in layer)
             new = {}
             for word, w in layer:
                 for i, row in enumerate(lmul):
@@ -594,17 +595,6 @@ class ReflectionGroup:
                         new[u] = (i,) + word
             before = {w for _, w in layer}
             layer = sorted((word, u) for u, word in new.items())
-
-    def _materialize(self):
-        if self._elements is not None:
-            return
-        # no Weyl group of rank at most 6 outgrows |W(E6)| = 51840
-        if self.num_gens > 6 and self.order > 400000:
-            raise ValueError("reflection group of order %d too large to "
-                             "materialize" % self.order)
-        elements = []
-        for layer in self.layers():
-            elements.extend(WeylElement(self, w, word) for word, w in layer)
         # the walk has met every element, so ids run 0 .. order - 1
         self._by_id = sorted(elements, key=lambda e: e.index)
         self._elements = elements

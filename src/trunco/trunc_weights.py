@@ -84,42 +84,25 @@ def _singular_levi(datum, nu):
 
 
 def find_twisting_word(datum, mu):
-    """Minimal-length w with the singular roots of w(mu) a standard Levi.
+    """A w with the singular roots of w(mu) a standard Levi: (word of w, J).
 
-    Returns (word of w, J).  Ties are broken by lexicographically least
-    canonical word: the Weyl group's walk `ReflectionGroup.layers` gives
-    each layer sorted by canonical word, and w(mu) is carried along it with
-    one reflection per element, so nothing past the first layer with a hit
-    is visited.  Along the way the chain condition is checked: each
-    reflection in the word pairs nontrivially with the partially twisted
-    weight, so the twist is a composition of reflections in nonsingular
-    roots.
+    The walk toward the dominant chamber: while the singular roots are not
+    a standard Levi, reflect in the first generator with a negative entry
+    and prepend it to the word.  It ends at the dominant point at the
+    latest, whose singular roots are those of the standard Levi on its zero
+    entries (Humphreys, Reflection Groups and Coxeter Groups, 1.12).  Each
+    letter reflects in a strictly negative pairing, so the twist is a
+    composition of reflections in nonsingular roots (the chain condition).
+    A mu that is already standard keeps the empty word.
     """
     datum.check_rank(mu)
-    group = datum.weyl_group()
-    reflect, lmul = group.reflect, group.lmul
-    before = {}                         # id u -> u(mu), over the layer before
-    for layer in group.layers():
-        images = {}
-        for word, w in layer:
-            # w = s_i u for the first letter i of its word
-            nu = images[w] = (reflect(word[0], before[lmul[word[0]][w]])
-                              if word else mu.coords)
-            j = _singular_levi(datum, nu)
-            if j is not None:
-                _check_chain_condition(datum, word, mu)
-                return word, j
-        before = images
-    raise RuntimeError("no twisting word found")
-
-
-def _check_chain_condition(datum, word, mu):
-    # <partial, alpha_i^vee> is entry i of the fundamental-weight coordinates
-    partial, reflect = mu.coords, datum.weyl_group().reflect
-    for i in reversed(word):
-        if partial[i] == 0:
-            raise RuntimeError("twisting word hits a singular reflection")
-        partial = reflect(i, partial)
+    reflect = datum.weyl_group().reflect
+    word, vec = (), mu.coords
+    while (j := _singular_levi(datum, vec)) is None:
+        i = next(i for i, c in enumerate(vec) if c < 0)
+        vec = reflect(i, vec)
+        word = (i,) + word
+    return word, j
 
 
 def shifted_dot(datum, word, lam0, n):

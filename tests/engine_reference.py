@@ -3,7 +3,10 @@ tests as the reference for `engine._reduce_level` and its block plans.
 
 Each query searches its own twisting word, twists lambda and nu by `n_dot`,
 and finds the Levi offset from the two twisted weights; nothing is kept
-between queries.  Level zero is the engine's base case.
+between queries.  Level zero is the engine's base case.  `twist` chooses
+the twisting word and its Levi, (datum, mu) -> (word, J); it defaults to
+the engine's own `find_twisting_word`, and any other valid choice must
+give the same values.
 """
 
 import itertools
@@ -13,7 +16,7 @@ from trunco.trunc_weights import (TruncatedWeight, find_twisting_word, n_dot,
                                   same_block)
 
 
-def multiplicity(datum, lam, nu, trace):
+def multiplicity(datum, lam, nu, trace, twist=find_twisting_word):
     """(value, trace node or None) of [M_lam : L_nu]."""
     n = lam.level
     if not same_block(lam, nu):
@@ -23,13 +26,13 @@ def multiplicity(datum, lam, nu, trace):
     elif n == 0:
         value, node = engine._base_case(datum, lam[0], beta, trace)
     else:
-        value, node = _reduce_level(datum, lam, nu, trace)
+        value, node = _reduce_level(datum, lam, nu, trace, twist)
     return value, (node if trace else None)
 
 
-def _reduce_level(datum, lam, nu, trace):
+def _reduce_level(datum, lam, nu, trace, twist):
     n = lam.level
-    word, levi = find_twisting_word(datum, lam[n])
+    word, levi = twist(datum, lam[n])
     lam2 = n_dot(datum, word, lam)
     nu2 = n_dot(datum, word, nu)
     delta = datum.dominance_offset(nu2[0], lam2[0])
@@ -61,7 +64,8 @@ def _reduce_level(datum, lam, nu, trace):
             continue
         shift = sub.root_weight(alpha)
         child_lam = TruncatedWeight((lam_r[0] - shift,) + lam_r.tail())
-        child_value, child_node = multiplicity(sub, child_lam, nu_r, trace)
+        child_value, child_node = multiplicity(sub, child_lam, nu_r, trace,
+                                               twist)
         total += count * child_value
         if trace:
             node.details["contributions"].append(

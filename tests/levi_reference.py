@@ -3,10 +3,12 @@ trunc_weights.py.
 
 `singular_roots` and `standard_levi` test a weight root by root: the
 singular roots are listed, and the set must be the positive system of the
-standard Levi on the simple roots it contains.  `twisting_word` scans the
-listed Weyl group in (length, word) order.  The package folds the first two
-into one test on coordinate tuples and searches the group layer by layer
-without listing it.
+standard Levi on the simple roots it contains.  `dominant_walk` restates
+the package's twist, a walk toward the dominant chamber, with those two
+and the datum's pairings; the package folds the first two into one test on
+coordinate tuples and reflects in the Weyl group's own coordinates.
+`twisting_word` scans the listed Weyl group in (length, word) order for
+the minimal-length twist, a different but equally valid choice.
 """
 
 from weyl_ops import act
@@ -43,3 +45,16 @@ def twisting_word(datum, mu):
         if j is not None:
             return w.word, j
     raise RuntimeError("no twisting word found")
+
+
+def dominant_walk(datum, mu):
+    """(word, J): while the singular roots of mu are no standard Levi,
+    reflect mu in the first simple root alpha_i with <mu, alpha_i^vee> < 0
+    and prepend i to the word."""
+    word = ()
+    while (j := standard_levi(datum, singular_roots(datum, mu))) is None:
+        i, pair = next((i, p) for i in range(datum.rank)
+                       if (p := datum.pairing(mu, datum.simple_root(i))) < 0)
+        mu = mu - pair * datum.root_weight(datum.simple_root(i))
+        word = (i,) + word
+    return word, j

@@ -7,7 +7,7 @@ keeps one reflection group per Cartan matrix, its own and those of the
 integral subsystems of its blocks, and a group holds nothing of the datum:
 integral subsystems with one Cartan matrix share one group however they
 sit in the datum.  The per-block work of the engine and the KL layer
-(twisting words, block plans, block descriptors) is kept on the datum too,
+(block plans, block descriptors) is kept on the datum too,
 so an uninterned `RootDatum(cartan)` builds its own and never sees the
 interned datum's.
 The few caches that live outside a datum are keyed by its Cartan matrix,
@@ -96,9 +96,8 @@ def test_plans_and_descriptors_are_per_datum():
     assert kl.block_descriptor(a2, lam0) is shared
     plan = engine._block_plan(a2, lam)
     assert a2._plans[lam.tail()] is plan
-    assert a2._twists[lam[1]] == plan[:2]
     fresh = _fresh("A2")
-    assert not (fresh._twists or fresh._plans or fresh._descriptors)
+    assert not (fresh._plans or fresh._descriptors)
     own = engine._block_plan(fresh, lam)
     assert own is not plan and own == plan
     desc = kl.block_descriptor(fresh, lam0)

@@ -14,6 +14,7 @@ from trunco.root_datum import (ReflectionGroup, RootDatum, Weight,
 from trunco.trunc_weights import TruncatedWeight, find_twisting_word, n_dot
 
 import engine_reference
+from levi_reference import twisting_word
 
 
 def _tw(*coords):
@@ -221,6 +222,16 @@ _ORACLE_GATE = (
     ("A4", _tw((0, -1, 0, 1), (0, 0, 0, 0), (0, 0, 0, 0)), 3),
     ("A3", _tw((Fraction(1, 3), 0, Fraction(2, 3)), (1, -1, 0)), 5),
     ("B3", _tw((0, 0, 0), (1, 0, 0), (0, 0, 0)), 4),
+    # nonzero tails of rank 5-8, which twist by words of length 6-58
+    ("D5", _tw((-1, -1, 1, -1, 0), (-1, -2, 0, 2, -3)), 2),
+    ("E6", _tw((-1, 1, 0, -1, 0, 1), (1, 3, -2, -1, 0, -2)), 2),
+    ("E7", _tw((0, -1, 1, 2, 1, 2, 1), (-1, -1, -2, 3, -2, 2, 3)), 2),
+    ("E8", _tw((Fraction(1, 2), -1, 2, -1, 0, 1, 0, 0),
+               (-1, 2, 0, 2, -1, -3, 0, -1)), 2),
+    ("E7", _tw((0, -1, 1, 2, 1, 2, 1), (1, 0, -1, 0, 0, 1, 0),
+               (-1, -1, -2, 3, -2, 2, 3)), 2),
+    ("E6", _tw((Fraction(1, 2), 2, 2, 1, 2, 2), (0, 1, 0, 0, -1, 0),
+               (-3, 1, 2, -3, 1, -3)), 2),
 )
 
 
@@ -259,6 +270,19 @@ def test_zero_tail_table_of_a_large_group_matches_oracle(type_str, monkeypatch):
     assert (group._elements is None) == unlisted
 
 
+def test_an_e7_tail_twists_by_a_walk_not_a_search_over_w(monkeypatch):
+    # the twist reflects one vector toward the dominant chamber, so it
+    # neither lists W(E7) nor interns an element of it, though the shortest
+    # twist of this tail has length 24 and 520648 elements are shorter
+    datum = RootDatum(build_root_datum("E7").cartan)    # not interned
+    lam = _tw((0,) * 7, (-2, 1, 1, -2, 3, -3, 3))
+    dec = oracle.verma_decomposition(datum, lam, 3)
+    monkeypatch.setattr(ReflectionGroup, "_materialize", _refuse_listing)
+    assert multiplicity_table(datum, lam, 3) == {
+        lam[0] - datum.root_weight(beta): v for beta, v in dec.items() if v}
+    assert len(datum.weyl_group()._vecs) == 1
+
+
 @pytest.mark.parametrize("type_str", ["B7", "D7", "E7", "E8", "A9"])
 def test_equal_weights_answer_without_listing_w(type_str):
     # a zero tail twists by e, so nothing lists the Weyl group
@@ -273,7 +297,6 @@ def _cold():
     """Empty the value memo and every interned datum's per-block tables."""
     engine._VALUE_MEMO.clear()
     for datum in RootDatum._interned.values():
-        datum._twists.clear()
         datum._plans.clear()
         datum._descriptors.clear()
 
@@ -320,7 +343,24 @@ def test_block_plans_match_the_per_query_reduction(type_str, depth):
                         (type_str, str(lam), str(nu), cold)
 
 
-def test_one_twisting_search_per_top_component(monkeypatch):
+@pytest.mark.parametrize("type_str, depth", [
+    ("A2", 3), ("B2", 3), ("G2", 3), ("A1xA1", 3), ("A3", 2), ("B3", 2)])
+def test_values_do_not_depend_on_the_twisting_word(type_str, depth):
+    # the engine twists by the walk toward the dominant chamber; a reduction
+    # twisted by the minimal-length word of the listed group gives the same
+    # values, as any w making the top component standard must
+    datum, blocks = _plan_blocks(type_str, depth + len(type_str))
+    for lam in blocks:
+        for beta in cone(datum.rank, depth):
+            nu = TruncatedWeight((lam[0] - datum.root_weight(beta),)
+                                 + lam.tail())
+            want, _ = engine_reference.multiplicity(
+                datum, lam, nu, False, twist=twisting_word)
+            assert _value(datum, lam, nu) == want, \
+                (type_str, str(lam), str(nu))
+
+
+def test_one_twisting_search_per_tail(monkeypatch):
     calls = collections.Counter()
     search = engine.find_twisting_word
 
@@ -331,16 +371,21 @@ def test_one_twisting_search_per_top_component(monkeypatch):
     monkeypatch.setattr(engine, "find_twisting_word", counted)
     _cold()
     a2 = build_root_datum("A2")
-    # three level-2 tails share the top (1,-1); the Levi tails repeat too
+    # three distinct tails end in (1,-1), and two lambdas share one of
+    # them; the Levi tails repeat too
     lams = [_tw((1, 0), (0, 0), (1, -1)), _tw((0, 1), (1, 0), (1, -1)),
             _tw((2, 0), (1, 0), (1, -1)), _tw((1, 1), (1, -1)),
             _tw((0, 0), (0, 1))]
     for _ in range(2):
         for lam in lams:
             multiplicity_table(a2, lam, 3)
-    assert calls[a2.key, Weight((1, -1))] == 1
-    assert len(calls) > len(lams) - 2
-    assert set(calls.values()) == {1}
+    # each plan made one search on its top component, and the second pass
+    # made none
+    plans = [(datum.key, tail) for datum in RootDatum._interned.values()
+             for tail in datum._plans]
+    assert calls == collections.Counter((key, tail[-1]) for key, tail in plans)
+    assert calls[a2.key, Weight((1, -1))] == 3
+    assert len(plans) > len(lams)
 
 
 def test_one_offset_check_per_query(monkeypatch):

@@ -6,18 +6,21 @@ leaves on B3 with `kl` strings "1+q+q^2", "1+q^2" and "0"; an A1xA1 leaf
 with `y` null, its offset outside the integral span), `table --json`, and
 `kl --json` on B3 and on D4 (one pair read by inversion near `w0`, one
 from a column).  The first cases were produced before the KL layer learned
-to invert short Bruhat intervals and before the twisting search stopped
-listing the Weyl group; the B3 leaves, the A1xA1 leaf and the D4 pairs
-before the traced leaf printed the engine's own descent and polynomial
-instead of recomputing them.  Trace words and polynomial strings must not
-move with such changes.
+to invert short Bruhat intervals; the B3 leaves, the A1xA1 leaf and the D4
+pairs before the traced leaf printed the engine's own descent and
+polynomial instead of recomputing them.  Polynomial strings must not move
+with such changes.  Trace words and Levis moved once on purpose, when the
+twist became the walk toward the dominant chamber and an integral leaf's
+letters became the datum's own; no value moved with them.
 
 `golden_traces.json` holds one short digest of the untraced value and the
 traced JSON of each of about a thousand seeded `mult` queries
 (`trace_queries`: A1 to F4 and A1xA1, levels 0-2, integral, singular and
 non-integral lambda_0), so a moved trace names its query.  Regenerate it
 only when a change of output is meant: `PYTHONPATH=src python3
-tests/test_golden.py`.
+tests/test_golden.py`.  The values alone are pinned apart from the traces,
+by `VALUE_DIGEST`, which that command never rewrites: a change of trace
+format must leave it as it is.
 """
 
 import hashlib
@@ -111,6 +114,17 @@ def test_traced_queries_are_unchanged():
     assert len(got) >= 1000 and set(got) == set(want)
     moved = [label for label in got if got[label] != want[label]]
     assert moved == [], "%d traces moved, first: %s" % (len(moved), moved[:5])
+
+
+# sha256 of the untraced values of `trace_queries()`, joined by "|"
+VALUE_DIGEST = "81486de356184da4"
+
+
+def test_untraced_values_are_unchanged():
+    values = [multiplicity(MultiplicityQuery(build_root_datum(t), lam, nu))[0]
+              for t, lam, nu in trace_queries()]
+    text = "|".join(str(v) for v in values)
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == VALUE_DIGEST
 
 
 if __name__ == "__main__":

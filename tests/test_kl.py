@@ -184,15 +184,29 @@ def test_integral_subsystem():
 
 
 def test_integral_subsystem_of_an_integral_weight_is_the_whole_system():
-    # integral lambda_0 skips the search for indecomposable roots
+    # integral lambda_0 skips the search for indecomposable roots and keeps
+    # the datum's simples in the datum's order
     for type_str in ("A3", "B3", "G2", "D4", "F4", "A1xA1"):
         datum = build_root_datum(type_str)
         lam0 = Weight([(-1) ** i * i for i in range(datum.rank)])
         positive, simples = integral_subsystem(datum, lam0)
         assert positive == datum.positive_roots
+        assert simples == [datum.simple_root(i) for i in range(datum.rank)]
         roots = set(positive)
-        assert simples == [r for r in positive if not any(
-            tuple(a - b for a, b in zip(r, s)) in roots for s in positive)]
+        assert set(simples) == {r for r in positive if not any(
+            tuple(a - b for a, b in zip(r, s)) in roots for s in positive)}
+
+
+@pytest.mark.parametrize("type_str", ["B3", "D4", "F4", "G2", "A3"])
+def test_an_integral_block_runs_on_the_datums_own_weyl_group(type_str):
+    # one W per datum: the level-0 leaves of an integral lambda_0 share the
+    # ids, KL columns and intervals of the group the `kl` command fills
+    datum = build_root_datum(type_str)
+    for lam0 in (Weight((0,) * datum.rank),
+                 Weight((-1,) + (2,) * (datum.rank - 1))):
+        desc = block_descriptor(datum, lam0)
+        assert desc.group is datum.weyl_group(), (type_str, lam0)
+        assert desc.group.cartan == datum.cartan
 
 
 def test_integral_subsystem_rejects_a_rank_mismatch():

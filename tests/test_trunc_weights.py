@@ -8,7 +8,7 @@ from trunco.root_datum import RootDatum, Weight, build_root_datum
 from trunco.trunc_weights import (TruncatedWeight, _singular_levi,
                                   find_twisting_word, n_dot, same_block)
 
-from levi_reference import singular_roots, standard_levi, twisting_word
+from levi_reference import dominant_walk, singular_roots, standard_levi
 from weyl_ops import act, act_root, mult
 
 
@@ -90,20 +90,6 @@ def test_find_twisting_word_nontrivial():
     assert standard_levi(a2, singular_roots(a2, moved)) == j
 
 
-def test_find_twisting_word_is_minimal():
-    for t in ("A2", "B2"):
-        datum = build_root_datum(t)
-        group = datum.weyl_group()
-        mus = [Weight((a, b)) for a in range(-2, 3) for b in range(-2, 3)]
-        for mu in mus:
-            w, _ = find_twisting_word(datum, mu)
-            best = min(
-                v.length for v in group.elements()
-                if standard_levi(datum,
-                                 singular_roots(datum, act(v, mu))) is not None)
-            assert len(w) == best
-
-
 def _sample_weights(rank, rng):
     """Every integral weight with entries in -2..2 (up to rank 2, else a
     sample of them), and as many with random rational entries."""
@@ -124,16 +110,47 @@ def test_singular_levi_matches_the_root_by_root_test():
                 standard_levi(datum, singular_roots(datum, mu)), (t, mu)
 
 
-def test_layer_search_matches_the_scan_over_listed_w():
+_WALK_TYPES = ("A2", "B2", "G2", "A3", "B3", "C3")
+
+
+def test_find_twisting_word_is_the_walk_toward_the_dominant_chamber():
     rng = random.Random(3)
-    for t in ("A2", "B2", "G2", "A3", "B3", "C3"):
+    for t in _WALK_TYPES:
         datum = build_root_datum(t)
         for mu in _sample_weights(datum.rank, rng):
-            assert find_twisting_word(datum, mu) == twisting_word(datum, mu), \
+            assert find_twisting_word(datum, mu) == dominant_walk(datum, mu), \
                 (t, mu)
 
 
+def test_twisting_words_meet_the_chain_condition():
+    # each letter, applied right to left, reflects in a root that pairs
+    # strictly negatively with the partly twisted weight
+    rng = random.Random(3)
+    for t in _WALK_TYPES:
+        datum = build_root_datum(t)
+        for mu in _sample_weights(datum.rank, rng):
+            word, j = find_twisting_word(datum, mu)
+            partial = mu
+            for i in reversed(word):
+                alpha = datum.simple_root(i)
+                pair = datum.pairing(partial, alpha)
+                assert pair < 0, (t, mu, word)
+                partial = partial - pair * datum.root_weight(alpha)
+            assert standard_levi(datum, singular_roots(datum, partial)) == j
+
+
+def test_a_standard_weight_keeps_the_empty_word():
+    rng = random.Random(3)
+    for t in _WALK_TYPES:
+        datum = build_root_datum(t)
+        for mu in _sample_weights(datum.rank, rng):
+            j = standard_levi(datum, singular_roots(datum, mu))
+            if j is not None:
+                assert find_twisting_word(datum, mu) == ((), j), (t, mu)
+
+
 def test_layer_search_leaves_the_group_unlisted():
+    # the walk reflects one vector and interns no element
     datum = RootDatum(build_root_datum("B3").cartan)   # not interned
     word, j = find_twisting_word(datum, Weight((1, -1, 1)))
     assert word and j is not None
