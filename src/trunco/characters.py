@@ -43,15 +43,17 @@ class PartitionCache:
 
     def count(self, beta):
         """Ways to write the integer vector beta as a Z>=0 sum of the roots."""
-        key = tuple(map(int, beta))
-        if key != tuple(beta):
-            raise ValueError("non-integer partition argument %r" % (beta,))
-        if len(key) != self.rank:
+        beta = tuple(beta)
+        if len(beta) != self.rank:
             raise ValueError("partition argument %r has %d coordinates, "
-                             "expected %d" % (beta, len(key), self.rank))
-        if any(b < 0 for b in key):
-            return 0
-        return self._count(key, 0)
+                             "expected %d" % (beta, len(beta), self.rank))
+        if not all(type(b) is int and b >= 0 for b in beta):
+            if tuple(map(int, beta)) != beta:
+                raise ValueError("non-integer partition argument %r" % (beta,))
+            beta = tuple(map(int, beta))
+            if min(beta) < 0:
+                return 0
+        return self._count(beta, 0)
 
     def _count(self, beta, start):
         if all(b == 0 for b in beta):

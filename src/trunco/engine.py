@@ -6,16 +6,17 @@ group element making the top tail component singular along a standard Levi
 does not depend on which such element), apply the n-shifted dot action,
 drop the (now trivial) top component, restrict to the Levi, and convolve
 with the Levi's Kostant partition function.  Level zero is classical
-category O, answered by Kazhdan-Lusztig polynomials at q = 1.  The
-twisting word, the Levi and the twisted tail depend only on the block, so
-the datum keeps one plan per tail.  A query checks nu against lambda once;
-the recursion then carries the offset beta = lambda_0 - nu_0 (Z>=0, in
-simple roots) and twists only lambda_0 and beta, not at all when the
-block's twisting word is empty.  A child's
-lambda_0 is the Levi part of the twisted lambda_0 minus the Levi's Cartan
-matrix times alpha, in integers.  The level-zero leaf answers from lambda_0
-and beta (see `kl.leaf_polynomial`); the trace prints that leaf's own
-polynomial and descent, and builds nu_0 only to print it.
+category O, answered by Kazhdan-Lusztig polynomials at q = 1.  The datum
+keeps one plan per block tail: the twisting word, the Levi, the twisted
+tail, the block's values by (lambda_0, beta), and the plan of the Levi's
+block.  A query checks nu against lambda once; the recursion then carries
+(plan, lambda_0, beta) in plain tuples, beta = lambda_0 - nu_0 in simple
+roots, twists only lambda_0 and beta (not at all for an empty twisting
+word), and forms a child's lambda_0 as the Levi part of the twisted
+lambda_0 minus the Levi's Cartan matrix times alpha.  The datum keeps its
+level-zero values by (lambda_0, beta) too and builds a Weight only for a
+new one (see `kl.leaf_polynomial`).  The trace takes the same path past
+the memos and builds weights only to print them.
 """
 
 from __future__ import annotations
@@ -25,8 +26,7 @@ import itertools
 from . import kl
 from .characters import cone
 from .root_datum import Frozen, Weight
-from .trunc_weights import (TruncatedWeight, find_twisting_word, n_dot,
-                            same_block, shifted_dot)
+from .trunc_weights import TruncatedWeight, find_twisting_word, n_dot, same_block
 
 
 class MultiplicityQuery(Frozen):
@@ -37,9 +37,8 @@ class MultiplicityQuery(Frozen):
         datum.check_rank(lam[0], nu[0])
         if lam.level != nu.level:
             raise ValueError("weights at different truncation levels")
-        object.__setattr__(self, "datum", datum)
-        object.__setattr__(self, "lam", lam)
-        object.__setattr__(self, "nu", nu)
+        for name, value in (("datum", datum), ("lam", lam), ("nu", nu)):
+            object.__setattr__(self, name, value)
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -67,130 +66,129 @@ class MultiplicityTrace:
         return NotImplemented
 
     def to_dict(self):
-        return {
-            "kind": self.kind,
-            "value": self.value,
-            "details": self.details,
-            "children": [c.to_dict() for c in self.children],
-        }
-
-
-_VALUE_MEMO = {}
+        return {"kind": self.kind, "value": self.value, "details": self.details,
+                "children": [c.to_dict() for c in self.children]}
 
 
 def multiplicity(query, trace=False):
-    """Return (value, trace) for a MultiplicityQuery.
-
-    With trace=False the second entry is None.
-    """
+    """(value, trace node) for a MultiplicityQuery; the node is None
+    unless trace is set."""
     datum, lam, nu = query.datum, query.lam, query.nu
     if not same_block(lam, nu):
         reason = "different blocks"
     elif (beta := datum.dominance_offset(nu[0], lam[0])) is None:
         reason = "nu_0 not below lambda_0"
     else:
-        return _multiplicity(datum, lam, beta, trace)
+        return _value(datum, _block_plan(datum, lam), lam[0].coords, beta,
+                      trace)
     return 0, (_zero_trace(reason) if trace else None)
-
-
-def _multiplicity(datum, lam, beta, trace):
-    """[M_lam : L_nu] with nu = (lambda_0 - beta, lambda_1, ..., lambda_n)."""
-    key = (datum.key, lam, beta)
-    if not trace and key in _VALUE_MEMO:
-        return _VALUE_MEMO[key], None
-    if lam.level == 0:
-        value, node = _base_case(datum, lam[0], beta, trace)
-    else:
-        value, node = _reduce_level(datum, lam, beta, trace)
-    _VALUE_MEMO[key] = value
-    return value, node
 
 
 def _zero_trace(reason):
     return MultiplicityTrace("zero", 0, {"reason": reason})
 
 
-def _base_case(datum, lam0, beta, trace):
+def _value(datum, plan, lam0, beta, trace):
+    """[M_lam : L_nu] for lam = (lam0, the plan's tail), lam0 a coordinate
+    tuple, and nu_0 = lam0 - beta: reduced through the plan, or a
+    level-zero leaf of datum when plan is None."""
+    if plan is not None:
+        return _reduce(plan, lam0, beta, trace)
     if not trace:
-        return kl.offset_multiplicity(datum, lam0, beta), None
+        value = datum._leaf_values.get((lam0, beta))
+        if value is None:
+            value = datum._leaf_values[lam0, beta] = kl.offset_multiplicity(
+                datum, Weight(lam0), beta)
+        return value, None
+    lam0 = Weight(lam0)
     details = {"lambda_0": str(lam0),
                "nu_0": str(lam0 - datum.root_weight(beta))}
     if not any(beta):
         return 1, MultiplicityTrace("base", 1, details)
     desc = kl.block_descriptor(datum, lam0)
-    details.update({
-        "integral_simples": [list(r) for r in desc.simples],
-        "antidominant": str(desc.antidominant),
-        "x": list(desc.top.word),
-        "y": None,
-    })
-    value = 0
-    leaf = kl.leaf_polynomial(datum, lam0, beta)
+    details.update(integral_simples=[list(r) for r in desc.simples],
+                   antidominant=str(desc.antidominant),
+                   x=list(desc.top.word), y=None)
+    value, leaf = 0, kl.leaf_polynomial(datum, lam0, beta)
     if leaf is not None:
-        vec, coeffs = leaf
-        poly = kl.KLPolynomial(coeffs)
+        poly = kl.KLPolynomial(leaf[1])
         value = poly(1)
-        details.update(y=list(desc.listed_times_w0(vec).word), kl=str(poly))
+        details.update(y=list(desc.listed_times_w0(leaf[0]).word), kl=str(poly))
     return value, MultiplicityTrace("base", value, details)
 
 
-def _block_plan(datum, lam):
-    """The part of a level reduction that depends only on the block of lam:
-    (twisting word w, J ascending (the Levi of the twisted top component),
-    twisted tail w(lambda_1), ..., w(lambda_n), the Levi's datum,
-    w(lambda_1), ..., w(lambda_(n-1)) restricted to J).
+class _BlockPlan:
+    """What a level reduction of a weight lam of level n needs of its block:
+    the twisting word w, J ascending (the Levi of the twisted top
+    component), the twisted tail, the Levi's datum and Cartan rows, and the
+    twisted lam cut to level n-1 on J, whose tail is the child block's.
+    `memo` holds the block's values by (lambda_0, beta), and `child` the
+    child block's plan from its first use (None at level 1)."""
 
-    The datum keeps one plan per tail, built on first use from one twisting
-    search on its top component.
-    """
-    tail = lam.tail()
-    plan = datum._plans.get(tail)
-    if plan is None:
-        word, levi = find_twisting_word(datum, tail[-1])
-        twisted = n_dot(datum, word, lam)
-        plan = datum._plans[tail] = (
-            word, levi, twisted.tail(), datum.sub_datum(levi),
-            twisted.truncate(lam.level - 1).restrict(levi).tail())
+    __slots__ = ("datum", "level", "word", "levi", "tail", "sub", "cartan",
+                 "sub_lam", "memo", "child")
+
+    def __init__(self, datum, lam):
+        self.word, self.levi = find_twisting_word(datum, lam[lam.level])
+        twisted = n_dot(datum, self.word, lam)
+        self.datum, self.level, self.tail = datum, lam.level, twisted.tail()
+        self.sub = datum.sub_datum(self.levi)
+        self.cartan, self.memo, self.child = self.sub.cartan, {}, None
+        self.sub_lam = twisted.truncate(lam.level - 1).restrict(self.levi)
+
+
+def _block_plan(datum, lam):
+    """The datum's plan for the block of lam, made once; None at level 0."""
+    plan = datum._plans.get(lam.tail())
+    if plan is None and lam.level:
+        plan = datum._plans[lam.tail()] = _BlockPlan(datum, lam)
     return plan
 
 
-def _reduce_level(datum, lam, beta, trace):
-    n = lam.level
-    word, levi, tail, sub, sub_tail = _block_plan(datum, lam)
+def _reduce(plan, lam0, beta, trace):
+    key = (lam0, beta)
+    if not trace and (value := plan.memo.get(key)) is not None:
+        return value, None
+    datum, n, word, levi = plan.datum, plan.level, plan.word, plan.levi
+    lam2_0, delta = lam0, beta
     if word:
-        lam2_0 = shifted_dot(datum, word, lam[0], n)
-        # the shifts cancel: lam2_0 - nu2_0 = w(lam_0 - nu_0) = w(beta)
-        delta = datum.weyl_group().act_word_root(word, beta)
-    else:
-        lam2_0, delta = lam[0], beta
-    node = MultiplicityTrace("reduce", 0, {
-        "n": n,
-        "twisting_word": list(word),
-        "levi": list(levi),
-        "lambda_twisted": str(TruncatedWeight((lam2_0,) + tail)),
-        "nu_twisted": str(TruncatedWeight(
-            (lam2_0 - datum.root_weight(delta),) + tail)),
-        "contributions": [],
-    }) if trace else None
+        # `shifted_dot`, w(lambda_0 + (n+1) rho) - (n+1) rho; the shifts
+        # cancel in the offset: lam2_0 - nu2_0 = w(lambda_0 - nu_0) = w(beta)
+        group = datum.weyl_group()
+        vec = tuple(c + n + 1 for c in lam0)
+        for i in reversed(word):
+            vec = group.reflect(i, vec)
+        lam2_0 = tuple(c - n - 1 for c in vec)
+        delta = group.act_word_root(word, beta)
+    node = None
+    if trace:
+        twisted = Weight(lam2_0)
+        node = MultiplicityTrace("reduce", 0, {
+            "n": n, "twisting_word": list(word), "levi": list(levi),
+            "lambda_twisted": str(TruncatedWeight((twisted,) + plan.tail)),
+            "nu_twisted": str(TruncatedWeight(
+                (twisted - datum.root_weight(delta),) + plan.tail)),
+            "contributions": []})
     # linked through the Levi: w(beta) is a Z>=0 combination of J
     bounds = [delta[j] for j in levi]
     if any(c < 0 for c in delta) or sum(bounds) != sum(delta):
         if trace:
             node.details["reason"] = "weights not linked through the Levi"
+        plan.memo[key] = 0
         return 0, node
-    lam_r0 = [lam2_0.coords[j] for j in levi]
-    pfun = sub.partitions
-    total = 0
+    if plan.child is None and n > 1:
+        plan.child = _block_plan(plan.sub, plan.sub_lam)
+    sub, child, cartan, total = plan.sub, plan.child, plan.cartan, 0
+    partitions, lam_r0 = sub.partitions, [lam2_0[j] for j in levi]
     for alpha in itertools.product(*(range(b + 1) for b in bounds)):
-        count = pfun.count(alpha)
+        count = partitions.count(alpha)
         if count == 0:
             continue
         # lambda_0 of the child: lam_r0 - alpha, alpha in the Levi's roots
-        child_lam = TruncatedWeight((Weight(tuple(
+        child_value, child_node = _value(sub, child, tuple(
             c - sum(a * x for a, x in zip(row, alpha))
-            for c, row in zip(lam_r0, sub.cartan))),) + sub_tail)
-        child_value, child_node = _multiplicity(
-            sub, child_lam, tuple(b - a for b, a in zip(bounds, alpha)), trace)
+            for c, row in zip(lam_r0, cartan)),
+            tuple(b - a for b, a in zip(bounds, alpha)), trace)
         total += count * child_value
         if trace:
             node.details["contributions"].append(
@@ -198,6 +196,7 @@ def _reduce_level(datum, lam, beta, trace):
             node.children.append(child_node)
     if trace:
         node.value = total
+    plan.memo[key] = total
     return total, node
 
 
@@ -205,9 +204,9 @@ def multiplicity_table(datum, lam, depth):
     """All nonzero [M_lam : L_nu] with nu_0 = lambda_0 - beta, height(beta)
     at most depth, and matching tail.  Returns {nu0 Weight: value}."""
     datum.check_rank(lam[0])
-    out = {}
+    plan, out = _block_plan(datum, lam), {}
     for beta in cone(datum.rank, depth):
-        value, _ = _multiplicity(datum, lam, beta, False)
+        value, _ = _value(datum, plan, lam[0].coords, beta, False)
         if value:
             out[lam[0] - datum.root_weight(beta)] = value
     return out

@@ -9,17 +9,14 @@ cosets modulo the dot-action stabilizer,
 Non-integral highest weights are handled by passing to the subsystem of
 roots with integral pairing: its Weyl group is the `ReflectionGroup` of its
 own Cartan matrix, and `BlockDescriptor` alone keeps how it sits in the
-ambient datum.  Whether lam0 - beta lies in the block of lam0 is read off
-the two integer descents to the dominant point (`ReflectionGroup.descend`):
-the same point, and drops that give back beta in the datum's simple roots;
-no rational linear algebra is needed.  Writing x = y w0 and y = y' w0 with
-y and y' shortest in their cosets, the value is P_{y' w0, y w0}(1) =
-Q_{y,y'}(1), the inverse KL polynomial of `leaf_polynomial`.  `_kl_coeffs`
-reads it from a stored column of y w0, else from the shorter end: [y, y']
-by the inversion formula (see `_inverse_entry`), or the column of y w0.
-The work runs on the element ids of `ReflectionGroup`, named by their
-vectors w(rho), and never lists the group; `kl_polynomial` goes through the
-same helper.
+ambient datum; block membership is decided in integers (`leaf_polynomial`).
+Writing x = y w0 and y = y' w0 with y and y' shortest in their cosets, the
+value is P_{y' w0, y w0}(1) = Q_{y,y'}(1), the inverse KL polynomial of
+`leaf_polynomial`.  `_kl_coeffs` reads it from a stored column of y w0,
+else from the shorter end: [y, y'] by the inversion formula (see
+`_inverse_entry`), or the column of y w0.  The work runs on the element ids
+of `ReflectionGroup`, named by their vectors w(rho), and never lists the
+group; `kl_polynomial` goes through the same helper.
 """
 
 from __future__ import annotations

@@ -241,9 +241,10 @@ class RootDatum:
     `build_root_datum` and `sub_datum` return the one interned datum of a
     Cartan matrix, which owns the tables the matrix determines: reflection
     groups (one per Cartan matrix: its own, and those of the integral
-    subsystems of its blocks), Kostant partitions, and the per-block work of
-    the engine and the KL layer (block plans, block descriptors).  A datum
-    built by `RootDatum(cartan)` is not interned and shares none of these.
+    subsystems of its blocks), Kostant partitions, and the engine's and the
+    KL layer's work and values (block plans, each holding its block's
+    values, level-zero values, block descriptors).  A datum built by
+    `RootDatum(cartan)` is not interned and shares none of these.
     """
 
     _interned = {}
@@ -266,10 +267,9 @@ class RootDatum:
         self._inverse_den = den
         self.rho = Weight((1,) * self.rank)
         self._groups = {}
-        # filled by the engine and the KL layer: block plans by tail, block
-        # descriptors by lambda_0
-        self._plans = {}
-        self._descriptors = {}
+        # filled by the engine and the KL layer: block plans by tail,
+        # level-zero values by (lambda_0, beta), block descriptors by lambda_0
+        self._plans, self._leaf_values, self._descriptors = {}, {}, {}
 
     # -- construction -------------------------------------------------
 
@@ -324,6 +324,9 @@ class RootDatum:
     def sub_datum(self, indices):
         """Interned datum of the standard Levi on the given simples."""
         idx = sorted(indices)
+        if len(set(idx)) < len(idx) or not set(idx) <= set(range(self.rank)):
+            raise ValueError("Levi indices %r are not distinct simples 0..%d"
+                             % (tuple(idx), self.rank - 1))
         return RootDatum.interned(tuple(tuple(self.cartan[i][j] for j in idx)
                                         for i in idx))
 

@@ -1,5 +1,5 @@
 """The engine's level reduction done afresh for every query, used only by
-tests as the reference for `engine._reduce_level` and its block plans.
+tests as the reference for `engine._reduce` and its block plans.
 
 Each query searches its own twisting word, twists lambda and nu by `n_dot`,
 and finds the Levi offset from the two twisted weights; nothing is kept
@@ -24,7 +24,7 @@ def multiplicity(datum, lam, nu, trace, twist=find_twisting_word):
     elif (beta := datum.dominance_offset(nu[0], lam[0])) is None:
         value, node = 0, engine._zero_trace("nu_0 not below lambda_0")
     elif n == 0:
-        value, node = engine._base_case(datum, lam[0], beta, trace)
+        value, node = engine._value(datum, None, lam[0].coords, beta, trace)
     else:
         value, node = _reduce_level(datum, lam, nu, trace, twist)
     return value, (node if trace else None)

@@ -7,7 +7,8 @@ keeps one reflection group per Cartan matrix, its own and those of the
 integral subsystems of its blocks, and a group holds nothing of the datum:
 integral subsystems with one Cartan matrix share one group however they
 sit in the datum.  The per-block work of the engine and the KL layer
-(block plans, block descriptors) is kept on the datum too,
+(block plans with their values, level-zero values, block descriptors) is
+kept on the datum too,
 so an uninterned `RootDatum(cartan)` builds its own and never sees the
 interned datum's.
 The few caches that live outside a datum are keyed by its Cartan matrix,
@@ -96,10 +97,16 @@ def test_plans_and_descriptors_are_per_datum():
     assert kl.block_descriptor(a2, lam0) is shared
     plan = engine._block_plan(a2, lam)
     assert a2._plans[lam.tail()] is plan
+    assert plan.memo and plan.datum is a2
     fresh = _fresh("A2")
-    assert not (fresh._plans or fresh._descriptors)
+    assert not (fresh._plans or fresh._leaf_values or fresh._descriptors)
     own = engine._block_plan(fresh, lam)
-    assert own is not plan and own == plan
+    assert own is not plan and own.datum is fresh and not own.memo
+    # sub_lam's lambda_0 is that of the weight that built the plan
+    fields = ("level", "word", "levi", "tail", "sub", "cartan")
+    assert [getattr(own, f) for f in fields] == \
+        [getattr(plan, f) for f in fields]
+    assert own.sub_lam.tail() == plan.sub_lam.tail()
     desc = kl.block_descriptor(fresh, lam0)
     assert desc is not shared
     assert desc.datum is fresh and shared.datum is a2
@@ -135,7 +142,6 @@ def test_a_traced_leaf_keeps_the_columns_untraced_queries_made(monkeypatch):
     # KL columns and Bruhat intervals that untraced queries interned by id,
     # so the next untraced table computes no column again
     monkeypatch.delitem(RootDatum._interned, build_root_datum("B3").key)
-    monkeypatch.setattr(engine, "_VALUE_MEMO", {})
     b3 = build_root_datum("B3")                 # a fresh interned datum
     zero = Weight((0, 0, 0))
     lam = TruncatedWeight((zero, zero))
@@ -148,6 +154,9 @@ def test_a_traced_leaf_keeps_the_columns_untraced_queries_made(monkeypatch):
     engine.multiplicity(MultiplicityQuery(b3, lam, nu), trace=True)
     assert group._elements is not None, "the traced leaf lists the group"
     assert group._kl_columns == columns and group._intervals == intervals
-    engine._VALUE_MEMO.clear()
+    # the zero tail's Levi is all of B3, so every value below it is b3's
+    b3._leaf_values.clear()
+    for plan in b3._plans.values():
+        plan.memo.clear()
     assert engine.multiplicity_table(b3, lam, 3) == table
     assert group._kl_columns == columns

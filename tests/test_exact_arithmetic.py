@@ -10,7 +10,7 @@ from trunco import engine, kl, linalg
 from trunco.engine import MultiplicityQuery, MultiplicityTrace, multiplicity
 from trunco.characters import FormalCharacter
 from trunco.kl import KLPolynomial
-from trunco.root_datum import CartanType, Weight, build_root_datum
+from trunco.root_datum import CartanType, RootDatum, Weight, build_root_datum
 from trunco.trunc_weights import TruncatedWeight
 
 TYPES = ("A1", "A3", "B3", "C3", "D4", "G2", "F4", "E6", "A1xA1")
@@ -43,6 +43,13 @@ def test_floats_rejected():
         Weight((1,)) * 0.5
 
 
+def _memo_size():
+    """Values the engine keeps on the interned data."""
+    return sum(len(datum._leaf_values)
+               + sum(len(plan.memo) for plan in datum._plans.values())
+               for datum in RootDatum._interned.values())
+
+
 def test_spellings_of_one_weight_agree():
     a2 = build_root_datum("A2")
     spellings = [(2, 0), (Fraction(2), Fraction(0)), ("2", "0")]
@@ -55,12 +62,13 @@ def test_spellings_of_one_weight_agree():
         assert hash(lam[0]) == hash(Weight(spellings[0]))
     nu = TruncatedWeight((lams[0][0] - a2.root_weight((1, 0)), tail))
     value, _ = multiplicity(MultiplicityQuery(a2, lams[0], nu))
-    size = len(engine._VALUE_MEMO)
+    plan = engine._block_plan(a2, lams[0])
+    size = _memo_size()
     for lam in lams:
-        key = (a2.key, lam, (1, 0))
-        assert key in engine._VALUE_MEMO
+        assert engine._block_plan(a2, lam) is plan
+        assert (lam[0].coords, (1, 0)) in plan.memo
         assert multiplicity(MultiplicityQuery(a2, lam, nu))[0] == value
-    assert len(engine._VALUE_MEMO) == size
+    assert _memo_size() == size
     queries = [MultiplicityQuery(a2, lam, nu) for lam in lams]
     cartans = [CartanType.parse(t) for t in ("A1xG2", " a1 x g2 ")]
     cartans.append(CartanType((("A", 1), ("G", 2))))
