@@ -8,7 +8,7 @@ The brute-force module oracle that checks it is a submodule of its own:
 from .root_datum import (CartanType, RootDatum, Weight, WeylElement,
                          build_root_datum)
 from .kl import KLPolynomial, integral_subsystem, kl_polynomial
-from .trunc_weights import TruncatedWeight, find_twisting_word, n_dot, same_block
+from .trunc_weights import TruncatedWeight, find_twisting_word, same_block
 from .characters import (FormalCharacter, PartitionCache, decompose_in_block,
                          kostant_partition, verma_character)
 from .engine import (MultiplicityQuery, MultiplicityTrace, multiplicity,

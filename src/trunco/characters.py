@@ -40,6 +40,7 @@ class PartitionCache:
         # the length of the roots; only a rank-0 system has none
         self.rank = len(self.roots[0]) if self.roots else 0
         self._memo = {}
+        self._counts = {}           # finished counts by beta
 
     def count(self, beta):
         """Ways to write the integer vector beta as a Z>=0 sum of the roots."""
@@ -48,12 +49,17 @@ class PartitionCache:
             raise ValueError("partition argument %r has %d coordinates, "
                              "expected %d" % (beta, len(beta), self.rank))
         if not all(type(b) is int and b >= 0 for b in beta):
-            if tuple(map(int, beta)) != beta:
+            # 1.0 == 1, so a float is refused by type, as `Weight` does
+            if (any(isinstance(b, float) for b in beta)
+                    or tuple(map(int, beta)) != beta):
                 raise ValueError("non-integer partition argument %r" % (beta,))
             beta = tuple(map(int, beta))
             if min(beta) < 0:
                 return 0
-        return self._count(beta, 0)
+        value = self._counts.get(beta)
+        if value is None:
+            value = self._counts[beta] = self._count(beta, 0)
+        return value
 
     def _count(self, beta, start):
         if all(b == 0 for b in beta):

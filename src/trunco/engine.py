@@ -7,9 +7,10 @@ does not depend on which such element), apply the n-shifted dot action,
 drop the (now trivial) top component, restrict to the Levi, and convolve
 with the Levi's Kostant partition function.  Level zero is classical
 category O, answered by Kazhdan-Lusztig polynomials at q = 1.  The datum
-keeps one plan per block tail: the twisting word, the Levi, the twisted
-tail, the block's values by (lambda_0, beta), and the plan of the Levi's
-block.  A query checks nu against lambda once; the recursion then carries
+keeps one plan per block tail, made from the tail alone: the twisting
+word, the Levi, the twisted tail, the block's values by (lambda_0, beta),
+and the plan of the Levi's block.  A query checks nu against lambda once,
+in integers (`RootDatum.dominance_offset`); the recursion then carries
 (plan, lambda_0, beta) in plain tuples, beta = lambda_0 - nu_0 in simple
 roots, twists only lambda_0 and beta (not at all for an empty twisting
 word), and forms a child's lambda_0 as the Levi part of the twisted
@@ -26,7 +27,7 @@ import itertools
 from . import kl
 from .characters import cone
 from .root_datum import Frozen, Weight
-from .trunc_weights import TruncatedWeight, find_twisting_word, n_dot, same_block
+from .trunc_weights import TruncatedWeight, find_twisting_word, same_block
 
 
 class MultiplicityQuery(Frozen):
@@ -79,8 +80,8 @@ def multiplicity(query, trace=False):
     elif (beta := datum.dominance_offset(nu[0], lam[0])) is None:
         reason = "nu_0 not below lambda_0"
     else:
-        return _value(datum, _block_plan(datum, lam), lam[0].coords, beta,
-                      trace)
+        return _value(datum, _block_plan(datum, lam.tail()), lam[0].coords,
+                      beta, trace)
     return 0, (_zero_trace(reason) if trace else None)
 
 
@@ -118,30 +119,34 @@ def _value(datum, plan, lam0, beta, trace):
 
 
 class _BlockPlan:
-    """What a level reduction of a weight lam of level n needs of its block:
-    the twisting word w, J ascending (the Levi of the twisted top
-    component), the twisted tail, the Levi's datum and Cartan rows, and the
-    twisted lam cut to level n-1 on J, whose tail is the child block's.
-    `memo` holds the block's values by (lambda_0, beta), and `child` the
-    child block's plan from its first use (None at level 1)."""
+    """What a level reduction of the block with a given tail of length n
+    needs: the twisting word w of its top component, J ascending (the Levi
+    of the twisted top component), the twisted tail, the Levi's datum and
+    Cartan rows, and `sub_tail`, the twisted tail below the top restricted
+    to J, which is the child block's tail.  All of it comes from the tail
+    alone.  `memo` holds the block's values by (lambda_0, beta), and
+    `child` the child block's plan from its first use (None at level 1)."""
 
     __slots__ = ("datum", "level", "word", "levi", "tail", "sub", "cartan",
-                 "sub_lam", "memo", "child")
+                 "sub_tail", "memo", "child")
 
-    def __init__(self, datum, lam):
-        self.word, self.levi = find_twisting_word(datum, lam[lam.level])
-        twisted = n_dot(datum, self.word, lam)
-        self.datum, self.level, self.tail = datum, lam.level, twisted.tail()
+    def __init__(self, datum, tail):
+        self.word, self.levi = find_twisting_word(datum, tail[-1])
+        act = datum.weyl_group().act_word
+        self.datum, self.level = datum, len(tail)
+        self.tail = tuple(act(self.word, mu) for mu in tail)
         self.sub = datum.sub_datum(self.levi)
         self.cartan, self.memo, self.child = self.sub.cartan, {}, None
-        self.sub_lam = twisted.truncate(lam.level - 1).restrict(self.levi)
+        self.sub_tail = tuple(Weight(tuple(mu.coords[j] for j in self.levi))
+                              for mu in self.tail[:-1])
 
 
-def _block_plan(datum, lam):
-    """The datum's plan for the block of lam, made once; None at level 0."""
-    plan = datum._plans.get(lam.tail())
-    if plan is None and lam.level:
-        plan = datum._plans[lam.tail()] = _BlockPlan(datum, lam)
+def _block_plan(datum, tail):
+    """The datum's plan for the block with this tail, made once; None for
+    the empty tail of level 0."""
+    plan = datum._plans.get(tail)
+    if plan is None and tail:
+        plan = datum._plans[tail] = _BlockPlan(datum, tail)
     return plan
 
 
@@ -177,7 +182,7 @@ def _reduce(plan, lam0, beta, trace):
         plan.memo[key] = 0
         return 0, node
     if plan.child is None and n > 1:
-        plan.child = _block_plan(plan.sub, plan.sub_lam)
+        plan.child = _block_plan(plan.sub, plan.sub_tail)
     sub, child, cartan, total = plan.sub, plan.child, plan.cartan, 0
     partitions, lam_r0 = sub.partitions, [lam2_0[j] for j in levi]
     for alpha in itertools.product(*(range(b + 1) for b in bounds)):
@@ -204,7 +209,7 @@ def multiplicity_table(datum, lam, depth):
     """All nonzero [M_lam : L_nu] with nu_0 = lambda_0 - beta, height(beta)
     at most depth, and matching tail.  Returns {nu0 Weight: value}."""
     datum.check_rank(lam[0])
-    plan, out = _block_plan(datum, lam), {}
+    plan, out = _block_plan(datum, lam.tail()), {}
     for beta in cone(datum.rank, depth):
         value, _ = _value(datum, plan, lam[0].coords, beta, False)
         if value:

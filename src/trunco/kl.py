@@ -7,8 +7,9 @@ cosets modulo the dot-action stabilizer,
     [M_{x.lambda-} : L_{y.lambda-}] = P_{y,x}(1).
 
 Non-integral highest weights are handled by passing to the subsystem of
-roots with integral pairing: its Weyl group is the `ReflectionGroup` of its
-own Cartan matrix, and `BlockDescriptor` alone keeps how it sits in the
+roots with integral pairing, one per datum and fractional parts of lam0
+(`_integral_class`): its Weyl group is the `ReflectionGroup` of its own
+Cartan matrix, and `BlockDescriptor` alone keeps how it sits in the
 ambient datum; block membership is decided in integers (`leaf_polynomial`).
 Writing x = y w0 and y = y' w0 with y and y' shortest in their cosets, the
 value is P_{y' w0, y w0}(1) = Q_{y,y'}(1), the inverse KL polynomial of
@@ -20,6 +21,8 @@ group; `kl_polynomial` goes through the same helper.
 """
 
 from __future__ import annotations
+
+import math
 
 from .root_datum import Frozen
 
@@ -290,23 +293,42 @@ class BlockDescriptor:
         return self.lam0 - self.datum.root_weight(self.offset(drop))
 
 
-def block_descriptor(datum, lam0):
-    """The descriptor of the level-zero block through lam0, one per datum
-    and lam0, built on first use."""
-    desc = datum._descriptors.get(lam0)
-    if desc is None:
+def _integral_class(datum, lam0, frac):
+    """(simples, their coroots, pairings, group, base) of the integral
+    subsystem of lam0, one per datum and frac = lam0 - floor lam0: coroot
+    coordinates are integers, so which <lam0 + rho, alpha^vee> are integral
+    depends on frac alone, and so does base_j = <frac + rho, beta_j^vee>."""
+    entry = datum._subsystems.get(frac)
+    if entry is None:
         simples = tuple(integral_subsystem(datum, lam0)[1])
-        lam_rho = lam0 + datum.rho
-        # integral by the choice of simples
-        shifted = tuple(int(datum.pairing(lam_rho, r)) for r in simples)
+        coroots = tuple(datum.coroot_coords(r) for r in simples)
         columns = tuple(zip(*datum.cartan))     # alpha_k, weight coordinates
-        pairings = tuple(
-            tuple(sum(c * a for c, a in zip(datum.coroot_coords(r), column))
-                  for column in columns)
-            for r in simples)
+        pairings = tuple(tuple(sum(c * a for c, a in zip(coroot, column))
+                               for column in columns) for coroot in coroots)
         group = datum.reflection_group(
             [[sum(p * b for p, b in zip(row, beta)) for beta in simples]
              for row in pairings])
+        # integral by the choice of simples
+        base = tuple(int(sum(c * (x + 1) for c, x in zip(coroot, frac)))
+                     for coroot in coroots)
+        entry = datum._subsystems[frac] = (simples, coroots, pairings, group,
+                                           base)
+    return entry
+
+
+def block_descriptor(datum, lam0):
+    """The descriptor of the level-zero block through lam0, one per datum
+    and lam0, built on first use from the datum's entry for the fractional
+    part of lam0 (`_integral_class`): `shifted` is its base plus one
+    integer dot product per simple, with the floor of lam0."""
+    desc = datum._descriptors.get(lam0)
+    if desc is None:
+        datum.check_rank(lam0)
+        floor = [math.floor(c) for c in lam0.coords]
+        simples, coroots, pairings, group, base = _integral_class(
+            datum, lam0, tuple(c - f for c, f in zip(lam0.coords, floor)))
+        shifted = tuple(b + sum(c * f for c, f in zip(coroot, floor))
+                        for b, coroot in zip(base, coroots))
         dominant, word, drop = group.descend(shifted)
         desc = datum._descriptors[lam0] = BlockDescriptor(
             datum, simples, group, lam0, shifted, pairings, dominant,

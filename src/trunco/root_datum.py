@@ -21,6 +21,7 @@ from __future__ import annotations
 import collections
 import functools
 import math
+import operator
 import re
 from fractions import Fraction
 
@@ -242,9 +243,10 @@ class RootDatum:
     Cartan matrix, which owns the tables the matrix determines: reflection
     groups (one per Cartan matrix: its own, and those of the integral
     subsystems of its blocks), Kostant partitions, and the engine's and the
-    KL layer's work and values (block plans, each holding its block's
-    values, level-zero values, block descriptors).  A datum built by
-    `RootDatum(cartan)` is not interned and shares none of these.
+    KL layer's work and values (block plans by tail, each holding its
+    block's values, level-zero values, block descriptors, and one integral
+    subsystem per class of lambda_0 modulo integral weights).  A datum
+    built by `RootDatum(cartan)` is not interned and shares none of these.
     """
 
     _interned = {}
@@ -268,8 +270,10 @@ class RootDatum:
         self.rho = Weight((1,) * self.rank)
         self._groups = {}
         # filled by the engine and the KL layer: block plans by tail,
-        # level-zero values by (lambda_0, beta), block descriptors by lambda_0
+        # level-zero values by (lambda_0, beta), block descriptors by
+        # lambda_0, integral subsystems by the fractional parts of lambda_0
         self._plans, self._leaf_values, self._descriptors = {}, {}, {}
+        self._subsystems = {}
 
     # -- construction -------------------------------------------------
 
@@ -385,11 +389,22 @@ class RootDatum:
 
     def dominance_offset(self, lower, upper):
         """upper - lower as an int tuple of Z>=0 coefficients of the simple
-        roots, or None when it is no such combination."""
-        coords = self.root_coords(upper - lower)
-        if any(c.denominator != 1 or c < 0 for c in coords):
+        roots, or None when it is no such combination.  Roots have integer
+        weight coordinates, so a non-integer difference is none; an integer
+        one is decided by an integer divmod per row of the inverse."""
+        self.check_rank(lower, upper)
+        diff = list(map(operator.sub, upper.coords, lower.coords))
+        if any(c.denominator != 1 for c in diff):
             return None
-        return coords
+        diff = [c.numerator for c in diff]
+        offset = []
+        for row in self._cartan_inverse:
+            coeff, rest = divmod(sum(map(operator.mul, row, diff)),
+                                 self._inverse_den)
+            if rest or coeff < 0:
+                return None
+            offset.append(coeff)
+        return tuple(offset)
 
     def reflection_group(self, cartan):
         """The Weyl group of a Cartan matrix, one per matrix."""

@@ -74,8 +74,12 @@ def _singular_levi(datum, nu):
 
     Every root supported on J is singular, so the test is the converse:
     each positive root alpha with <nu, alpha^vee> = 0 is supported on J.
+    A dominant nu needs no scan: a positive coroot pairs with it as a Z>=0
+    sum of its entries, zero only off the support of alpha (Humphreys 1.12).
     """
     j = tuple(i for i, c in enumerate(nu) if c == 0)
+    if all(c >= 0 for c in nu):
+        return j
     for root in datum.positive_roots:
         if (not sum(c * v for c, v in zip(datum.coroot_coords(root), nu))
                 and any(root[i] for i in range(datum.rank) if nu[i] != 0)):

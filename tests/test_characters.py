@@ -60,9 +60,23 @@ def test_kostant_partition_rejects_a_non_integer_entry():
     for beta in ((Fraction(1, 2), 0), (1.9, 1), (0, Fraction(-1, 3))):
         with pytest.raises(ValueError, match="non-integer partition"):
             kostant_partition(a2, beta)
-    # integer values of another type are counted as integers
-    assert kostant_partition(a2, (Fraction(2), 1.0)) == \
+    # integral Fractions are counted as integers
+    assert kostant_partition(a2, (Fraction(2), Fraction(1))) == \
         kostant_partition(a2, [2, 1]) == 2
+
+
+def test_kostant_partition_refuses_a_float_even_after_a_hit():
+    # 1.0 == 1 and hash(1.0) == hash(1), so (1.0, 1) used to count as
+    # (1, 1), where Weight((1.0, 0)) raises; a finished count of (1, 1)
+    # must not answer it either
+    a2 = build_root_datum("A2")
+    assert kostant_partition(a2, (1, 1)) == 2
+    for beta in ((1.0, 1), (1, 1.0), [0.0, 0]):
+        with pytest.raises(ValueError, match="non-integer partition"):
+            kostant_partition(a2, beta)
+    assert kostant_partition(a2, [1, 1]) == 2
+    with pytest.raises(ValueError, match="coordinates"):
+        kostant_partition(a2, (1, 1, 0))
 
 
 def test_verma_character_level_zero_is_kostant():

@@ -295,11 +295,13 @@ def test_equal_weights_answer_without_listing_w(type_str):
 
 def _cold():
     """Empty every interned datum's per-block tables: its block plans (and
-    with them their values), its level-zero values and its descriptors."""
+    with them their values), its level-zero values, its descriptors and its
+    integral subsystems."""
     for datum in RootDatum._interned.values():
         datum._plans.clear()
         datum._leaf_values.clear()
         datum._descriptors.clear()
+        datum._subsystems.clear()
 
 
 def _memo_size():

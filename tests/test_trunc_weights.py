@@ -110,6 +110,39 @@ def test_singular_levi_matches_the_root_by_root_test():
                 standard_levi(datum, singular_roots(datum, mu)), (t, mu)
 
 
+def _scanned_levi(datum, nu):
+    """`_singular_levi` by the scan over every positive root alone."""
+    j = tuple(i for i, c in enumerate(nu) if c == 0)
+    for root in datum.positive_roots:
+        if (not sum(c * v for c, v in zip(datum.coroot_coords(root), nu))
+                and any(root[i] for i in range(datum.rank) if nu[i] != 0)):
+            return None
+    return j
+
+
+class _Unscanned(list):
+    def __iter__(self):
+        raise AssertionError("the positive roots were scanned")
+
+
+def test_a_dominant_point_skips_the_root_scan():
+    # a dominant point's singular roots are those of the standard Levi on
+    # its zero entries (Humphreys 1.12); every other point is scanned
+    rng = random.Random(8)
+    for t in ("A2", "B2", "G2", "A3", "B3", "C3", "D4", "F4", "E6"):
+        datum = build_root_datum(t)
+        unscanned = RootDatum(datum.cartan)
+        unscanned.positive_roots = _Unscanned(datum.positive_roots)
+        for mu in _sample_weights(datum.rank, rng):
+            nu = mu.coords
+            assert _singular_levi(datum, nu) == _scanned_levi(datum, nu), \
+                (t, mu)
+            point = tuple(abs(c) for c in nu)
+            assert _singular_levi(unscanned, point) == \
+                _scanned_levi(datum, point) == \
+                tuple(i for i, c in enumerate(point) if c == 0), (t, point)
+
+
 _WALK_TYPES = ("A2", "B2", "G2", "A3", "B3", "C3")
 
 
