@@ -5,8 +5,7 @@ The brute-force module oracle that checks it is a submodule of its own:
 ``from trunco import oracle``.
 """
 
-from .root_datum import (CartanType, RootDatum, Weight, WeylElement,
-                         build_root_datum)
+from .root_datum import CartanType, RootDatum, Weight, build_root_datum
 from .kl import KLPolynomial, integral_subsystem, kl_polynomial
 from .trunc_weights import TruncatedWeight, find_twisting_word, same_block
 from .characters import (FormalCharacter, PartitionCache, decompose_in_block,

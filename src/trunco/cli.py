@@ -121,8 +121,8 @@ def cmd_table(args):
 def cmd_kl(args):
     datum = build_root_datum(args.type)
     group = datum.weyl_group()
-    x = group.from_word(parse_word(args.x, group.num_gens))
-    y = group.from_word(parse_word(args.y, group.num_gens))
+    x = group._apply(parse_word(args.x, group.num_gens), 0)
+    y = group._apply(parse_word(args.y, group.num_gens), 0)
     poly = kl.kl_polynomial(group, x, y)
     out = {"polynomial": str(poly), "coefficients": list(poly.coeffs),
            "at_one": int(poly(1))}
@@ -178,16 +178,13 @@ def cmd_oracle(args):
 def cmd_verify_suite(args):
     """Engine against oracle on a fixed small sweep."""
     from . import oracle
-    cases = []
-    for tail in ((0,), (1,)):
-        for lam0 in range(3):
-            cases.append(("A1", 1, (lam0,), (tail,), 3))
-    a2_tails = (((0, 0),), ((1, 1),), ((1, -1),))
-    for tail in a2_tails:
-        cases.append(("A2", 1, (1, 1), tail, 2))
-    mismatches = 0
-    checked = 0
-    for type_str, n, lam0, tail, depth in cases:
+    cases = [("A1", (lam0,), (tail,), 3)
+             for tail in ((0,), (1,)) for lam0 in range(3)]
+    cases += [("A2", (1, 1), (tail,), 2) for tail in ((0, 0), (1, 1), (1, -1))]
+    # singular level-0 blocks whose leaves reach P_{y, y'_max} = 1 + q
+    cases += [("A3", (-1, 0, -1), (), 3), ("D4", (1, 0, -1, -1), (), 3)]
+    mismatches = checked = 0
+    for type_str, lam0, tail, depth in cases:
         datum = build_root_datum(type_str)
         lam = TruncatedWeight([Weight(lam0)] + [Weight(t) for t in tail])
         dec = oracle.verma_decomposition(datum, lam, depth)
@@ -202,7 +199,7 @@ def cmd_verify_suite(args):
                 mismatches += 1
                 # stdout carries only the JSON object under --json
                 print("MISMATCH %s n=%d lambda=%s nu=%s engine=%d oracle=%d"
-                      % (type_str, n, lam, nu, value, expected),
+                      % (type_str, lam.level, lam, nu, value, expected),
                       file=sys.stderr if args.json else sys.stdout)
     out = {"checked": checked, "mismatches": mismatches}
     _emit(args, out, lambda o: "checked %d queries, %d mismatches"

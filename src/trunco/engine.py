@@ -6,7 +6,8 @@ group element making the top tail component singular along a standard Levi
 does not depend on which such element), apply the n-shifted dot action,
 drop the (now trivial) top component, restrict to the Levi, and convolve
 with the Levi's Kostant partition function.  Level zero is classical
-category O, answered by Kazhdan-Lusztig polynomials at q = 1.  The datum
+category O, answered by Kazhdan-Lusztig polynomials P_{y, y'_max} at
+q = 1, in the dominant convention of `kl`.  The datum
 keeps one plan per block tail, made from the tail alone: the twisting
 word, the Levi, the twisted tail, the block's values by (lambda_0, beta),
 and the plan of the Levi's block.  A query checks nu against lambda once,
@@ -17,7 +18,9 @@ word), and forms a child's lambda_0 as the Levi part of the twisted
 lambda_0 minus the Levi's Cartan matrix times alpha.  The datum keeps its
 level-zero values by (lambda_0, beta) too and builds a Weight only for a
 new one (see `kl.leaf_polynomial`).  The trace takes the same path past
-the memos and builds weights only to print them.
+the memos and builds weights only to print them.  A traced leaf prints
+the dominant point, the reduced words of y and y'_max (None outside the
+block) and P_{y, y'_max}, and lists no group.
 """
 
 from __future__ import annotations
@@ -108,13 +111,13 @@ def _value(datum, plan, lam0, beta, trace):
         return 1, MultiplicityTrace("base", 1, details)
     desc = kl.block_descriptor(datum, lam0)
     details.update(integral_simples=[list(r) for r in desc.simples],
-                   antidominant=str(desc.antidominant),
-                   x=list(desc.top.word), y=None)
+                   dominant=list(desc.dominant), y=list(desc.word),
+                   y_max=None)
     value, leaf = 0, kl.leaf_polynomial(datum, lam0, beta)
     if leaf is not None:
         poly = kl.KLPolynomial(leaf[1])
         value = poly(1)
-        details.update(y=list(desc.listed_times_w0(leaf[0]).word), kl=str(poly))
+        details.update(y_max=list(leaf[0]), kl=str(poly))
     return value, MultiplicityTrace("base", value, details)
 
 

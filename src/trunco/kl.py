@@ -1,23 +1,34 @@
 """Kazhdan-Lusztig polynomials and level-zero composition multiplicities.
 
-Multiplicities in a block of classical category O are read off through the
-antidominant convention: with lambda- antidominant and x, y longest in their
-cosets modulo the dot-action stabilizer,
+Multiplicities in a block of category O are read in the dominant
+convention of `ReflectionGroup.descend`.  Let d be the block's dominant
+point in the integral Weyl group's coordinates, W_J the stabilizer of d
+(J = {i : d_i = 0}) and w_{0,J} its longest element.  With lam0 + rho =
+y(d) and nu0 + rho = y'(d), y and y' shortest in their cosets modulo W_J,
+and y'_max = y' w_{0,J}, the longest element of y' W_J,
 
-    [M_{x.lambda-} : L_{y.lambda-}] = P_{y,x}(1).
+    [M_{lam0} : L_{nu0}] = P_{y, y'_max}(1).
+
+For d regular this is the Kazhdan-Lusztig conjecture (Invent. Math. 53
+(1979), Conjecture 1.5: ch M_w = sum over y of P_{w0 w, w0 y}(1) ch L_y,
+with M_w of highest weight (w w0) . 0; conjugation by w0 keeps P), proved
+by Beilinson-Bernstein and by Brylinski-Kashiwara.  For d singular,
+translate to the wall (Humphreys, BGG Category O, ch. 7): translation is
+exact, takes M(w . reg) to M(w . lam) and L(w . reg) to L(w . lam) when w
+is longest in w W_J, else to 0.  In sl2 it takes L(0) to 0 and L(s . 0)
+to L(-1): the survivor is the longest coset element.  So the value is
+[M(y . reg) : L(y'_max . reg)] = P_{y, y'_max}(1); and P_{w, x} with x
+longest in its coset does not depend on w in its coset.
 
 Non-integral highest weights are handled by passing to the subsystem of
 roots with integral pairing, one per datum and fractional parts of lam0
 (`_integral_class`): its Weyl group is the `ReflectionGroup` of its own
 Cartan matrix, and `BlockDescriptor` alone keeps how it sits in the
 ambient datum; block membership is decided in integers (`leaf_polynomial`).
-Writing x = y w0 and y = y' w0 with y and y' shortest in their cosets, the
-value is P_{y' w0, y w0}(1) = Q_{y,y'}(1), the inverse KL polynomial of
-`leaf_polynomial`.  `_kl_coeffs` reads it from a stored column of y w0,
-else from the shorter end: [y, y'] by the inversion formula (see
-`_inverse_entry`), or the column of y w0.  The work runs on the element ids
-of `ReflectionGroup`, named by their vectors w(rho), and never lists the
-group; `kl_polynomial` goes through the same helper.
+`_kl_coeffs` reads P_{x,y} from a stored column of y, else from the
+shorter end: the column of y, or [y w0, x w0] by the inversion formula
+(`_inverse_entry`).  The work runs on element ids, named by their vectors
+w(rho), and never lists the group.
 """
 
 from __future__ import annotations
@@ -195,10 +206,13 @@ def _kl_coeffs(group, x, y):
 
 
 def kl_polynomial(group, x, y):
-    """The Kazhdan-Lusztig polynomial P_{x,y} for elements of `group`."""
-    if x.group is not group or y.group is not group:
-        raise ValueError("x and y must be elements of this group")
-    return KLPolynomial(_kl_coeffs(group, x.index, y.index))
+    """The Kazhdan-Lusztig polynomial P_{x,y} for elements of `group`:
+    both listed elements, or both ids (`ReflectionGroup._apply`)."""
+    if type(x) is not int:
+        if x.group is not group or y.group is not group:
+            raise ValueError("x and y must be elements of this group")
+        x, y = x.index, y.index
+    return KLPolynomial(_kl_coeffs(group, x, y))
 
 
 def integral_subsystem(datum, lam0):
@@ -240,22 +254,21 @@ class BlockDescriptor:
     root coordinates, and `group` the Weyl group of its Cartan matrix
     <beta_k, beta_j^vee>.  Vectors are in the group's coordinates: a weight
     v is the tuple of its pairings <v, beta_j^vee>.  `shifted` is lam0 +
-    rho so written, `dominant` the dominant point of its orbit, `drop` what
-    `ReflectionGroup.descend` drops on the way there, and `y` the vector
-    (see `ReflectionGroup`) of the shortest y taking that point to lam0 +
-    rho; the longest w with w . antidominant == lam0 is then y w0.  For an
-    offset beta in simple roots, nu_0 + rho = lam0 + rho - beta is
+    rho so written, `dominant` the dominant point d of its orbit, `drop`
+    what `ReflectionGroup.descend` drops on the way there, `word` the
+    reduced word it returns, of the shortest y with y(d) = lam0 + rho, and
+    `y` the vector of y (see `ReflectionGroup`).  `w0j_word` and `w0j` are
+    a reduced word and the vector of w_{0,J}, the longest element fixing d.
+    For an offset beta in simple roots, nu_0 + rho = lam0 + rho - beta is
     `shifted` minus the integer product `pairings` . beta, with
     pairings[j][k] = <alpha_k, beta_j^vee>.  Those coordinates forget the
     part of beta outside the span of the integral simples; `offset` reads
-    beta back from a drop.  `top` gives y w0 as a listed element, for the
-    trace, and lists the group; `antidominant` is the antidominant point of
-    the orbit of lam0 + rho, less rho.  There is one descriptor per datum
-    and lam0, compared by identity.
+    beta back from a drop.  There is one descriptor per datum and lam0,
+    compared by identity.
     """
 
     def __init__(self, datum, simples, group, lam0, shifted, pairings,
-                 dominant, drop, y):
+                 dominant, drop, word):
         self.datum = datum          # the ambient RootDatum
         self.simples = simples      # integral simples, ambient root coordinates
         self.group = group          # integral Weyl group, a ReflectionGroup
@@ -264,7 +277,15 @@ class BlockDescriptor:
         self.pairings = pairings    # <alpha_k, beta_j^vee>, row j
         self.dominant = dominant    # dominant point of the orbit of shifted
         self.drop = drop            # drop of shifted to dominant (see above)
-        self.y = y                  # vector of the shortest y (see above)
+        self.word = word            # reduced word of the shortest y
+        self.y = group._vecs[group._apply(word, 0)]
+        # w_{0,J}: from rho_J, step up in the generators fixing d
+        w0j, steps = (1,) * group.num_gens, []
+        fixing = [i for i, c in enumerate(dominant) if c == 0]
+        while (i := next((i for i in fixing if w0j[i] > 0), None)) is not None:
+            w0j = group.reflect(i, w0j)
+            steps.append(i)
+        self.w0j_word, self.w0j = tuple(reversed(steps)), w0j
 
     def offset(self, drop):
         """sum_j (self.drop - drop)_j beta_j, in the datum's root
@@ -276,21 +297,6 @@ class BlockDescriptor:
         diff = [a - b for a, b in zip(self.drop, drop)]
         return tuple(sum(d * beta[k] for d, beta in zip(diff, self.simples))
                      for k in range(self.datum.rank))
-
-    def listed_times_w0(self, vec):
-        """The listed element w w0, for the element w named by vec."""
-        return self.group._element(_times_w0(self.group, self.group._ids[vec]))
-
-    @property
-    def top(self):
-        return self.listed_times_w0(self.y)
-
-    @property
-    def antidominant(self):
-        # -dominant descends to -w0(dominant), dropping minus what w0 takes
-        # off the dominant point; so offset(drop) takes lam0 + rho there
-        drop = self.group.descend(tuple(-c for c in self.dominant))[2]
-        return self.lam0 - self.datum.root_weight(self.offset(drop))
 
 
 def _integral_class(datum, lam0, frac):
@@ -332,7 +338,7 @@ def block_descriptor(datum, lam0):
         dominant, word, drop = group.descend(shifted)
         desc = datum._descriptors[lam0] = BlockDescriptor(
             datum, simples, group, lam0, shifted, pairings, dominant,
-            tuple(drop), group._vecs[group._apply(word, 0)])
+            tuple(drop), tuple(word))
     return desc
 
 
@@ -343,17 +349,18 @@ def _check_offset(datum, beta):
 
 
 def leaf_polynomial(datum, lam0, beta):
-    """(vector of y', coefficients of Q_{y,y'}) for the level-zero leaf
-    [M_{lam0} : L_{lam0 - beta}], beta integer coefficients of the simple
-    roots; None when lam0 - beta lies outside the block of lam0.
+    """(reduced word of y'_max, coefficients of P_{y, y'_max}) for the
+    level-zero leaf [M_{lam0} : L_{lam0 - beta}], beta integer coefficients
+    of the simple roots; None when lam0 - beta lies outside the block of
+    lam0.
 
     y and y' are shortest taking the dominant point to lam0 + rho and to
-    lam0 + rho - beta, and Q_{y,y'} = P_{y' w0, y w0}.  lam0 - beta lies in
-    the block when lam0 + rho - beta has the same dominant point in the
-    coordinates of the integral Weyl group, and the two descents drop beta
-    (`BlockDescriptor.offset`): the two weights then reach one ambient
-    point.  A group of full rank needs no second test, since no nonzero
-    weight is orthogonal to every integral coroot.
+    lam0 + rho - beta, and y'_max = y' w_{0,J} (see the module docstring).
+    lam0 - beta lies in the block when lam0 + rho - beta has the same
+    dominant point in the coordinates of the integral Weyl group, and the
+    two descents drop beta (`BlockDescriptor.offset`): the two weights then
+    reach one ambient point.  A group of full rank needs no second test,
+    since no nonzero weight is orthogonal to every integral coroot.
     """
     _check_offset(datum, beta)
     desc = block_descriptor(datum, lam0)
@@ -364,9 +371,13 @@ def leaf_polynomial(datum, lam0, beta):
     if point != desc.dominant or (group.num_gens < datum.rank
                                   and desc.offset(drop) != tuple(beta)):
         return None
-    y2 = group._apply(word, 0)
-    top = _times_w0(group, group._ids[desc.y])
-    return group._vecs[y2], _kl_coeffs(group, _times_w0(group, y2), top)
+    # y' is shortest in y' W_J, so l(y' w_{0,J}) = l(y') + l(w_{0,J})
+    top, reflect = desc.w0j, group.reflect
+    for i in reversed(word):
+        top = reflect(i, top)
+    word = tuple(word) + desc.w0j_word
+    top = group._intern(top, len(word))
+    return word, _kl_coeffs(group, group._ids[desc.y], top)
 
 
 def offset_multiplicity(datum, lam0, beta):

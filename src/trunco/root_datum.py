@@ -481,11 +481,11 @@ class ReflectionGroup:
 
     Elements are interned on first sight as small ids: `_vecs[w]` is the
     vector of id w, `length[w]` its length, and `lmul[i][w]` the id of
-    s_i w, reflected on first lookup.  Listing the group (`elements`,
-    `from_word`, `longest_element`) walks it breadth first, gives each
-    element its canonical word, and keeps every id, so what was kept by id
-    before (Bruhat intervals, KL columns) stays valid.  Listing a group
-    whose `order` exceeds 400000 is refused before the walk starts.
+    s_i w, reflected on first lookup.  Only `elements` and `longest_element`
+    list the group: breadth first, with canonical words, keeping every id,
+    so what was kept by id before (Bruhat intervals, KL columns) stays
+    valid.  Listing a group whose `order` exceeds 400000 is refused before
+    the walk starts; nothing in the package lists one.
     """
 
     def __init__(self, cartan):
@@ -613,25 +613,14 @@ class ReflectionGroup:
                         new[u] = (i,) + word
             before = {w for _, w in layer}
             layer = sorted((word, u) for u, word in new.items())
-        # the walk has met every element, so ids run 0 .. order - 1
-        self._by_id = sorted(elements, key=lambda e: e.index)
         self._elements = elements
         # w0 is the last element; this spares `longest_length` its walk
         self.longest_length = elements[-1].length
-
-    def _element(self, w):
-        """The listed element of id w."""
-        self._materialize()
-        return self._by_id[w]
 
     def elements(self):
         """All elements, sorted by (length, word)."""
         self._materialize()
         return list(self._elements)
-
-    def from_word(self, word):
-        self.check_word(word)
-        return self._element(self._apply(word, 0))
 
     def longest_element(self):
         self._materialize()

@@ -20,7 +20,7 @@ from trunco.trunc_weights import TruncatedWeight, find_twisting_word, n_dot
 
 import conftest
 from klsolver import KLSolver
-from weyl_ops import bruhat_leq, mult
+from weyl_ops import bruhat_leq, from_word, mult
 
 
 def _tw(*coords):
@@ -262,8 +262,8 @@ def test_criterion_6_kl_suite():
                 if x != y and len(p) - 1 > (y.length - x.length - 1) // 2:
                     failures.append((t, x.word, y.word, "degree"))
     a3 = build_root_datum("A3").weyl_group()
-    pinned = kl.kl_polynomial(a3, a3.from_word((1,)),
-                              a3.from_word((1, 0, 2, 1)))
+    pinned = kl.kl_polynomial(a3, from_word(a3, (1,)),
+                              from_word(a3, (1, 0, 2, 1)))
     if pinned.coeffs != (1, 1):
         failures.append(("A3", "pinned", pinned.coeffs))
     # rank 4: sampled pairs, three in four with x <= y; lengths are capped
@@ -310,7 +310,7 @@ def test_criterion_7_twisting_invariance():
         nu = TruncatedWeight((lam[0] - a2.root_weight(beta),) + lam.tail())
         base = _engine_value(a2, lam, nu)
         for i in movable:
-            s = group.from_word((i,))
+            s = from_word(group, (i,))
             moved = _engine_value(a2, n_dot(a2, s.word, lam),
                                   n_dot(a2, s.word, nu))
             if moved != base:

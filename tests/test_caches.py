@@ -29,7 +29,8 @@ from trunco import engine, kl
 from trunco.characters import PartitionCache, kostant_partition
 from trunco.oracle import ChevalleyBasis
 from trunco.engine import MultiplicityQuery
-from trunco.root_datum import CartanType, RootDatum, Weight, build_root_datum
+from trunco.root_datum import (CartanType, ReflectionGroup, RootDatum, Weight,
+                               build_root_datum)
 from trunco.trunc_weights import TruncatedWeight
 
 TYPES = ("A1", "A2", "B2", "G2", "C2", "A1xA1", "A3", "B3")
@@ -116,8 +117,9 @@ def test_plans_and_descriptors_are_per_datum():
     assert desc.datum is fresh and shared.datum is a2
     assert desc.group is fresh.reflection_group(shared.group.cartan)
     assert desc.group is not shared.group
-    assert (desc.antidominant, desc.top.word) == \
-        (shared.antidominant, shared.top.word)
+    fields = ("dominant", "drop", "word", "y", "w0j_word", "w0j")
+    assert [getattr(desc, f) for f in fields] == \
+        [getattr(shared, f) for f in fields]
     assert set(fresh._descriptors) == {lam0}
 
 
@@ -142,9 +144,9 @@ def test_chevalley_basis_of_dropped_data():
 
 
 def test_a_traced_leaf_keeps_the_columns_untraced_queries_made(monkeypatch):
-    # a traced level-0 leaf lists its integral Weyl group; listing keeps the
-    # KL columns and Bruhat intervals that untraced queries interned by id,
-    # so the next untraced table computes no column again
+    # a traced level-0 leaf reads the KL columns that untraced queries
+    # interned by id and lists no group, so neither it nor the next
+    # untraced table computes a column again
     monkeypatch.delitem(RootDatum._interned, build_root_datum("B3").key)
     b3 = build_root_datum("B3")                 # a fresh interned datum
     zero = Weight((0, 0, 0))
@@ -153,10 +155,15 @@ def test_a_traced_leaf_keeps_the_columns_untraced_queries_made(monkeypatch):
     group = kl.integral_weyl_group(b3, zero)
     assert group._elements is None
     columns, intervals = dict(group._kl_columns), dict(group._intervals)
-    assert (len(columns), len(intervals)) == (8, 8)
+    # every leaf to depth 3 pairs elements of length at most 3, far from
+    # l(w0) = 9, so each reads P_{y, y'_max} from the column of y'_max
+    # (10 columns, with the shorter ones its recursion reads) and none
+    # inverts a Bruhat interval
+    assert max(group.length[y] for y in columns) == 3
+    assert (len(columns), len(intervals)) == (10, 1)
     nu = TruncatedWeight((zero - b3.root_weight((1, 0, 0)), zero))
+    monkeypatch.setattr(ReflectionGroup, "_materialize", _refuse_listing)
     engine.multiplicity(MultiplicityQuery(b3, lam, nu), trace=True)
-    assert group._elements is not None, "the traced leaf lists the group"
     assert group._kl_columns == columns and group._intervals == intervals
     # the zero tail's Levi is all of B3, so every value below it is b3's
     b3._leaf_values.clear()
@@ -164,6 +171,10 @@ def test_a_traced_leaf_keeps_the_columns_untraced_queries_made(monkeypatch):
         plan.memo.clear()
     assert engine.multiplicity_table(b3, lam, 3) == table
     assert group._kl_columns == columns
+
+
+def _refuse_listing(group):
+    raise AssertionError("listed a group of %d generators" % group.num_gens)
 
 
 def _rational_weights(rank, rng, count):

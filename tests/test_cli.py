@@ -4,13 +4,38 @@ import pytest
 
 from trunco import engine, oracle
 from trunco.cli import main, parse_weight, parse_word
-from trunco.root_datum import Weight, build_root_datum
+from trunco.root_datum import ReflectionGroup, Weight, build_root_datum
 
 
 def run(capsys, *argv):
     status = main(list(argv))
     out = capsys.readouterr().out
     return status, out
+
+
+def test_traced_leaves_and_the_kl_command_list_no_group(capsys, monkeypatch):
+    # a traced leaf prints descent words, and the kl command names x and y
+    # by their vectors, so neither lists a Weyl group: W(E7) and W(E8) are
+    # too large to list, and W(E6) is not listed either.  s3 s1 s4 s3 lies
+    # in the parabolic A3 on nodes 1, 3 and 4 of E6, where P_{e, s2 s1 s3 s2}
+    # = 1 + q, and KL polynomials of a parabolic subgroup are its own
+    def refuse(group):
+        raise AssertionError("listed a group of %d generators" % group.num_gens)
+
+    monkeypatch.setattr(ReflectionGroup, "_materialize", refuse)
+    for argv, value, poly, y_max in (
+            (["E7", "[0,0,0,0,0,0,0]", "[0,0,0,0,0,1,-2]"], 1, "1", [6]),
+            (["E6", "[0,0,0,0,0,0]", "[0,2,-4,0,2,0]"], 2, "1+q", [2, 0, 3, 2])):
+        status, out = run(capsys, "mult", "--trace", "--json", "--type",
+                          argv[0], "--lambda", argv[1], "--nu", argv[2])
+        leaf = json.loads(out)["trace"]
+        assert status == 0 and leaf["value"] == value, argv
+        assert (leaf["details"]["y"], leaf["details"]["y_max"],
+                leaf["details"]["kl"]) == ([], y_max, poly), argv
+    status, out = run(capsys, "kl", "--type", "E8", "--x", "", "--y", "1")
+    assert (status, out) == (0, "1\n")
+    status, out = run(capsys, "kl", "--type", "E6", "--x", "", "--y", "3,1,4,3")
+    assert (status, out) == (0, "1+q\n")
 
 
 def test_parse_weight_roundtrip():

@@ -15,6 +15,7 @@ from trunco.trunc_weights import TruncatedWeight, find_twisting_word, n_dot
 
 import engine_reference
 from levi_reference import twisting_word
+from weyl_ops import from_word
 
 
 def _tw(*coords):
@@ -105,7 +106,7 @@ def test_twisting_invariance_at_top_level():
     for i in range(2):
         if a2.pairing(lam[1], a2.simple_root(i)) == 0:
             continue
-        s = group.from_word((i,))
+        s = from_word(group, (i,))
         assert _value(a2, n_dot(a2, s.word, lam), n_dot(a2, s.word, nu)) == base
 
 
@@ -232,6 +233,15 @@ _ORACLE_GATE = (
                (-1, -1, -2, 3, -2, 2, 3)), 2),
     ("E6", _tw((Fraction(1, 2), 2, 2, 1, 2, 2), (0, 1, 0, 0, -1, 0),
                (-3, 1, 2, -3, 1, -3)), 2),
+    # level-0 and level-2 blocks whose leaves reach P_{y, y'_max} != 1:
+    # regular A3 from height 8 (P_{e, s2 s1 s3 s2} = 1 + q), singular
+    # dominant Vermas from height 3
+    ("A3", _tw((0, 0, 0)), 8),
+    ("A3", _tw((-1, 0, -1)), 3),
+    ("D4", _tw((1, 0, -1, -1)), 3),
+    ("B3", _tw((0, -1, 0)), 8),
+    ("C3", _tw((0, -1, 0)), 7),
+    ("D4", _tw((0, 0, 0, 0), (0, 0, 0, 0), (0, 0, 0, 0)), 6),
 )
 
 
@@ -247,6 +257,45 @@ def test_engine_matches_oracle_on_fixed_blocks(type_str, lam, depth):
         if value != dec.get(beta, 0):
             wrong.append((beta, value, dec.get(beta, 0)))
     assert wrong == []
+
+
+# (type, depth) of the dominant regular integral lambda_0 = 0 at level 0
+_BGG_BLOCKS = (("A3", 10), ("A4", 8), ("D4", 8), ("E6", 9))
+
+
+@pytest.mark.parametrize("type_str, depth", _BGG_BLOCKS)
+def test_bgg_resolution_inverts_the_engine_tables(type_str, depth):
+    # The BGG resolution of L(0) gives ch L(0) = sum over w of (-1)^l(w)
+    # ch M(w . 0) (Bernstein-Gelfand-Gelfand 1975; Humphreys, BGG Category
+    # O, ch. 6): row 0 of the inverse of [M_mu : L_nu] over the linked
+    # weights is (-1)^l(w) at w . 0 and 0 elsewhere.  Neither the oracle
+    # nor a KL formula enters.  The matrix is unitriangular in the
+    # dominance order, and each mu between nu and 0 lies no deeper than
+    # nu, so the linked weights to the depth carry the row to the depth.
+    datum = build_root_datum(type_str)
+    group, zero = datum.weyl_group(), Weight((0,) * datum.rank)
+    # w . 0 + rho = w(rho), by the offset 0 - w . 0 in simple roots; a step
+    # in s_i with entry c > 0 lowers by c alpha_i and lengthens w by one
+    sign, layer, length = {}, {(0,) * datum.rank: (1,) * datum.rank}, 0
+    while layer:
+        step = {}
+        for beta, vec in layer.items():
+            sign[zero - datum.root_weight(beta)] = (-1) ** length
+            for i, c in enumerate(vec):
+                below = beta[:i] + (beta[i] + c,) + beta[i + 1:]
+                if c > 0 and sum(below) <= depth:
+                    step[below] = group.reflect(i, vec)
+        layer, length = step, length + 1
+    linked = sorted(sign, key=lambda mu: sum(datum.root_coords(zero - mu)))
+    tables = {mu: multiplicity_table(datum, TruncatedWeight([mu]), depth - sum(
+        datum.root_coords(zero - mu))) for mu in linked}
+    assert all(set(t) <= set(sign) for t in tables.values()), type_str
+    # sum over mu of row[mu] [M_mu : L_nu] = [nu == 0], deeper nu later
+    row = {}
+    for nu in linked:
+        row[nu] = int(nu == zero) - sum(row[mu] * tables[mu].get(nu, 0)
+                                        for mu in row)
+    assert row == sign, type_str
 
 
 def _refuse_listing(group):

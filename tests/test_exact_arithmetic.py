@@ -13,6 +13,8 @@ from trunco.kl import KLPolynomial
 from trunco.root_datum import CartanType, RootDatum, Weight, build_root_datum
 from trunco.trunc_weights import TruncatedWeight
 
+from weyl_ops import from_word
+
 TYPES = ("A1", "A3", "B3", "C3", "D4", "G2", "F4", "E6", "A1xA1")
 
 
@@ -74,7 +76,8 @@ def test_spellings_of_one_weight_agree():
     cartans.append(CartanType((("A", 1), ("G", 2))))
     # P_{s2, s2 s1 s3 s2} = 1 + q in A3, computed and written out
     a3 = build_root_datum("A3").weyl_group()
-    polys = [kl.kl_polynomial(a3, a3.from_word((1,)), a3.from_word((1, 0, 2, 1))),
+    polys = [kl.kl_polynomial(a3, from_word(a3, (1,)),
+                              from_word(a3, (1, 0, 2, 1))),
              KLPolynomial((1, 1)), KLPolynomial(tuple([1, 1]))]
     for same in (queries, cartans, polys):
         for item in same:

@@ -2,8 +2,8 @@
 
 `golden_cli.json` holds the stdout of `mult --json --trace` (twisted,
 non-integral, level-2 and KL-base queries on A2, B2, G2 and A3; level-0
-leaves on B3 with `kl` strings "1+q+q^2", "1+q^2" and "0"; an A1xA1 leaf
-with `y` null, its offset outside the integral span), `table --json`, and
+leaves on B3 with `kl` strings "1+q", "1" and "0"; an A1xA1 leaf with
+`y_max` null, its offset outside the integral span), `table --json`, and
 `kl --json` on B3 and on D4 (one pair read by inversion near `w0`, one
 from a column).  The first cases were produced before the KL layer learned
 to invert short Bruhat intervals; the B3 leaves, the A1xA1 leaf and the D4
@@ -11,7 +11,14 @@ pairs before the traced leaf printed the engine's own descent and
 polynomial instead of recomputing them.  Polynomial strings must not move
 with such changes.  Trace words and Levis moved once on purpose, when the
 twist became the walk toward the dominant chamber and an integral leaf's
-letters became the datum's own; no value moved with them.
+letters became the datum's own; no value moved with them.  The level-0
+leaves moved once more, when the leaf became P_{y, y'_max}(1) in the
+dominant convention instead of the inverse polynomial Q_{y,y'}(1): a
+traced leaf now prints `dominant`, `y`, `y_max` and `kl`, four A3 and B3
+`mult --trace` values moved to the oracle's (A3 17 -> 16 and 9 -> 8, B3
+3 -> 2 and 2 -> 1), and one value of `trace_queries` moved (F4 level 0,
+[-2,3,-6,5] over [-4,7,-10,2], 3 -> 2: P_{y, y'_max} = 1+q by
+tests/klsolver.py), so `VALUE_DIGEST` moved with it.
 
 `golden_traces.json` holds one short digest of the untraced value and the
 traced JSON of each of about a thousand seeded `mult` queries
@@ -23,6 +30,7 @@ by `VALUE_DIGEST`, which that command never rewrites: a change of trace
 format must leave it as it is.
 """
 
+import collections
 import hashlib
 import json
 import pathlib
@@ -31,6 +39,7 @@ from fractions import Fraction
 
 import pytest
 
+from trunco import kl
 from trunco.characters import cone
 from trunco.cli import main
 from trunco.engine import MultiplicityQuery, multiplicity
@@ -117,7 +126,7 @@ def test_traced_queries_are_unchanged():
 
 
 # sha256 of the untraced values of `trace_queries()`, joined by "|"
-VALUE_DIGEST = "81486de356184da4"
+VALUE_DIGEST = "0db68d53ec4b7826"
 
 
 def test_untraced_values_are_unchanged():
@@ -125,6 +134,42 @@ def test_untraced_values_are_unchanged():
               for t, lam, nu in trace_queries()]
     text = "|".join(str(v) for v in values)
     assert hashlib.sha256(text.encode()).hexdigest()[:16] == VALUE_DIGEST
+
+
+def _leaves(node):
+    if node.kind == "base" and "y" in node.details:
+        yield node
+    for child in node.children:
+        yield from _leaves(child)
+
+
+def test_traced_leaf_words_are_reduced_and_name_the_leaf_vectors():
+    # every leaf of the level-0 queries: y takes the printed dominant point
+    # d to lambda_0 + rho, y_max takes it to nu_0 + rho, each word is
+    # reduced, and y_max is longest in its coset: every generator fixing d
+    # shortens it on the right
+    counts = collections.Counter()
+    for type_str, lam, nu in trace_queries():
+        if lam.level:
+            continue
+        datum = build_root_datum(type_str)
+        _, node = multiplicity(MultiplicityQuery(datum, lam, nu), trace=True)
+        desc = kl.block_descriptor(datum, lam[0])
+        group, length = desc.group, desc.group.length
+        for leaf in _leaves(node):
+            d, y_max = leaf.details["dominant"], leaf.details["y_max"]
+            fixing = [i for i, c in enumerate(d) if c == 0]
+            counts[y_max is not None, bool(fixing)] += 1
+            assert d == list(desc.dominant)
+            for word, weight in ((leaf.details["y"], lam[0]), (y_max, nu[0])):
+                if word is None:
+                    continue
+                assert length[group._apply(word, 0)] == len(word)
+                assert group.act_word(word, Weight(d)).coords == tuple(
+                    datum.pairing(weight + datum.rho, b) for b in desc.simples)
+            for i in fixing if y_max is not None else ():
+                assert length[group._apply(y_max + [i], 0)] == len(y_max) - 1
+    assert min(counts.values()) > 10 and len(counts) == 4, counts
 
 
 if __name__ == "__main__":

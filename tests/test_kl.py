@@ -14,14 +14,14 @@ from trunco.trunc_weights import TruncatedWeight
 from trunco import kl, oracle
 
 from klsolver import KLSolver
-from weyl_ops import (act_integral, act_root, bruhat_leq, has_left_descent,
-                      inverse, mult, order)
+from weyl_ops import (act_integral, act_root, bruhat_leq, from_word,
+                      has_left_descent, inverse, mult, order)
 
 
 def test_kl_trivial_pairs():
     group = build_root_datum("A2").weyl_group()
     w0 = group.longest_element()
-    s1 = group.from_word((0,))
+    s1 = from_word(group, (0,))
     assert kl_polynomial(group, w0, w0).coeffs == (1,)
     assert kl_polynomial(group, w0, s1).coeffs == ()
 
@@ -51,8 +51,8 @@ def test_kl_rank_two_all_one():
 
 def test_kl_first_nontrivial_polynomial():
     group = build_root_datum("A3").weyl_group()
-    x = group.from_word((1,))
-    y = group.from_word((1, 0, 2, 1))
+    x = from_word(group, (1,))
+    y = from_word(group, (1, 0, 2, 1))
     p = kl_polynomial(group, x, y)
     assert p.coeffs == (1, 1)
     assert str(p) == "1+q"
@@ -139,8 +139,11 @@ def test_a_group_interned_before_it_is_listed():
         desc, rho = block_descriptor(datum, zero), datum.rho
         group = desc.group
         assert group is not listed and group.cartan == listed.cartan
+        # and s_1 w0 below w0, a pair the inversion formula answers
+        w0 = listed.longest_element()
+        near = (mult(listed, from_word(listed, (0,)), w0), w0)
         values = {}
-        for x, y in _sample_pairs(listed, count, rng):
+        for x, y in _sample_pairs(listed, count, rng) + [near]:
             lam0 = act_integral(desc, x, rho) - rho
             nu0 = act_integral(desc, y, rho) - rho
             values[x.word, y.word] = base_multiplicity(datum, lam0, nu0)
@@ -159,15 +162,14 @@ def test_a_group_interned_before_it_is_listed():
         assert all(group._kl_columns[y] is c for y, c in columns.items())
         assert all(group._intervals[y] == b for y, b in intervals.items())
         solver = KLSolver(group)
-        w0 = group.longest_element()
         for (x_word, y_word), value in values.items():
-            x, y = group.from_word(x_word), group.from_word(y_word)
+            x, y = from_word(group, x_word), from_word(group, y_word)
             lam0 = act_integral(desc, x, rho) - rho
             nu0 = act_integral(desc, y, rho) - rho
-            # [M_{x.0} : L_{y.0}] = P_{y w0, x w0}(1)
-            top, below = mult(group, x, w0), mult(group, y, w0)
-            p = kl_polynomial(group, below, top)
-            assert p.coeffs == solver.kl(below, top), (type_str, x, y)
+            # the block of 0 is regular, with lam0 + rho = x(rho) and
+            # nu0 + rho = y(rho): [M_{x.0} : L_{y.0}] = P_{x,y}(1)
+            p = kl_polynomial(group, x, y)
+            assert p.coeffs == solver.kl(x, y), (type_str, x, y)
             assert p(1) == value == base_multiplicity(datum, lam0, nu0), \
                 (type_str, x, y)
 
@@ -220,7 +222,9 @@ def test_block_descriptor_regular_integral():
     a2 = build_root_datum("A2")
     desc = block_descriptor(a2, Weight((0, 0)))
     assert order(desc.group) == 6
-    assert desc.antidominant == Weight((-2, -2))
+    # 0 is dominant and regular: rho = e(rho), and W_J is trivial
+    assert desc.dominant == (1, 1) and desc.drop == (0, 0)
+    assert (desc.word, desc.y, desc.w0j_word, desc.w0j) == ((), (1, 1), (), (1, 1))
 
 
 def test_base_multiplicity_sl2():
@@ -251,7 +255,8 @@ def test_base_multiplicity_regular_a2_block():
     a2 = build_root_datum("A2")
     lam = Weight((0, 0))
     desc = block_descriptor(a2, lam)
-    anti = desc.antidominant
+    anti = act_integral(desc, desc.group.longest_element(), a2.rho) - a2.rho
+    assert anti == Weight((-2, -2))
     orbit = [act_integral(desc, w, anti + a2.rho) - a2.rho
              for w in desc.group.elements()]
     total = sum(base_multiplicity(a2, lam, nu) for nu in orbit)
@@ -259,6 +264,33 @@ def test_base_multiplicity_regular_a2_block():
     assert total == 6
     for nu in orbit:
         assert base_multiplicity(a2, nu, anti) == 1
+
+
+# (type, lambda_0, beta) where [M_{lambda_0} : L_{lambda_0 - beta}] = 2
+TEXTBOOK_LEAVES = (
+    # regular: nu_0 = s2 s1 s3 s2 . 0, and P_{e, s2 s1 s3 s2} = 1 + q
+    # (Kazhdan and Lusztig 1979, Conjecture 1.5; Humphreys, BGG Category O,
+    # ch. 8)
+    ("A3", (0, 0, 0), (2, 4, 2)),
+    # singular dominant Vermas, reached at height 3
+    ("A3", (-1, 0, -1), (1, 1, 1)),
+    ("D4", (1, 0, -1, -1), (0, 1, 1, 1)),
+)
+
+
+def test_textbook_leaves_read_p_of_y_and_y_max():
+    group = build_root_datum("A3").weyl_group()
+    assert group.act_word((1, 0, 2, 1), Weight((1, 1, 1))) == \
+        Weight((1, 1, 1)) - build_root_datum("A3").root_weight((2, 4, 2))
+    for type_str, coords, beta in TEXTBOOK_LEAVES:
+        datum = build_root_datum(type_str)
+        lam0 = Weight(coords)
+        nu0 = lam0 - datum.root_weight(beta)
+        assert offset_multiplicity(datum, lam0, beta) == 2, type_str
+        value, node = multiplicity(MultiplicityQuery(
+            datum, TruncatedWeight([lam0]), TruncatedWeight([nu0])),
+            trace=True)
+        assert (value, node.details["kl"]) == (2, "1+q"), (type_str, coords)
 
 
 # (type, lambda_0) blocks: regular, singular and non-integral
@@ -274,44 +306,55 @@ DESCENT_BLOCKS = (
 
 
 def _orbit_scan(datum, lam0):
-    """(antidominant point, {point: longest w with w . antidominant ==
-    point}) over the dot orbit of lam0, by a scan of the listed integral
-    Weyl group acting through the integral simples; the antidominant
-    point is found by its pairings."""
+    """(dominant point, shortest, longest) over the dot orbit of lam0, where
+    shortest and longest map each point to the shortest and the longest w
+    with w . dominant == point, by a scan of the listed integral Weyl group
+    acting through the integral simples; the dominant point is found by
+    its pairings."""
     desc, rho = block_descriptor(datum, lam0), datum.rho
     positive, simples = integral_subsystem(datum, lam0)
     assert desc.simples == tuple(simples)
     orbit = {act_integral(desc, w, lam0 + rho) for w in desc.group.elements()}
-    (anti,) = [p for p in orbit
-               if all(datum.pairing(p, r) <= 0 for r in positive)]
+    (dom,) = [p for p in orbit
+              if all(datum.pairing(p, r) >= 0 for r in positive)]
     taking = {}
     for w in desc.group.elements():
-        taking.setdefault(act_integral(desc, w, anti) - rho, []).append(w)
-    longest = {}
+        taking.setdefault(act_integral(desc, w, dom) - rho, []).append(w)
+    shortest, longest = {}, {}
     for point, ws in taking.items():
-        top = max(w.length for w in ws)
-        (longest[point],) = [w for w in ws if w.length == top]
-    return anti - rho, longest
+        lengths = [w.length for w in ws]
+        (shortest[point],) = [w for w in ws if w.length == min(lengths)]
+        (longest[point],) = [w for w in ws if w.length == max(lengths)]
+    return dom - rho, shortest, longest
+
+
+def _names(group, word, w):
+    """word is a reduced word of the listed element w."""
+    return group._apply(word, 0) == w.index and len(word) == w.length
 
 
 def test_longest_taking_matches_brute_force():
-    # the leaf names y' by its vector: y' w0 is the longest element taking
-    # the antidominant point to lam0 - beta, and Q_{y,y'} = P_{y' w0, y w0},
-    # against an independent solver; points outside the orbit give None
+    # the leaf names y'_max by a reduced word: the longest element taking
+    # the dominant point to lam0 - beta; its value is P_{y, y'_max}, y the
+    # shortest taking it to lam0 (see the kl module docstring), against an
+    # independent solver; points outside the orbit give None
     for type_str, coords in DESCENT_BLOCKS:
         datum = build_root_datum(type_str)
         lam0 = Weight(coords)
         desc = block_descriptor(datum, lam0)
-        anti, longest = _orbit_scan(datum, lam0)
-        top = longest[lam0]
-        assert desc.antidominant == anti and desc.top == top
-        solver = KLSolver(desc.group)
+        group = desc.group
+        dom, shortest, longest = _orbit_scan(datum, lam0)
+        y = shortest[lam0]
+        assert desc.dominant == tuple(datum.pairing(dom + datum.rho, b)
+                                      for b in desc.simples)
+        assert _names(group, desc.word, y) and group._vecs[y.index] == desc.y
+        solver = KLSolver(group)
         for point, w in longest.items():
             # above lam0 too: beta need not be Z>=0 for the descent
             beta = datum.root_coords(lam0 - point)
-            vec, coeffs = leaf_polynomial(datum, lam0, beta)
-            assert desc.listed_times_w0(vec) == w, (type_str, coords, point)
-            assert coeffs == solver.kl(w, top), (type_str, coords, point)
+            word, coeffs = leaf_polynomial(datum, lam0, beta)
+            assert _names(group, word, w), (type_str, coords, point)
+            assert coeffs == solver.kl(y, w), (type_str, coords, point)
         alpha = datum.root_weight(datum.simple_root(0))
         outside = next(m for m in range(1, 100)
                        if lam0 - m * alpha not in longest)
@@ -383,7 +426,7 @@ def test_group_tables_match_their_definitions():
                 assert (vec[i] < 0) == negative
         for _ in range(200):
             x, y = rng.choice(elements), rng.choice(elements)
-            assert mult(group, x, y) is group.from_word(x.word + y.word)
+            assert mult(group, x, y) is from_word(group, x.word + y.word)
     for type_str in ("A3", "B3"):
         group = build_root_datum(type_str).weyl_group()
         solver = KLSolver(group)
@@ -424,23 +467,26 @@ def test_offset_leaf_matches_the_trace_path(type_str):
         lam0 = Weight(coords)
         group = block_descriptor(datum, lam0).group
         ranks.add(group.num_gens)
-        _, longest = _orbit_scan(datum, lam0)
+        _, shortest, longest = _orbit_scan(datum, lam0)
+        y = shortest[lam0]
         solver = KLSolver(group)
         for beta in rng.sample(cone(datum.rank, 4), 12):
             value = offset_multiplicity(datum, lam0, beta)
             nu0 = lam0 - datum.root_weight(beta)
-            # [M_{lam0} : L_{nu0}] = P_{w, top}(1), by the orbit scan
+            # [M_{lam0} : L_{nu0}] = P_{y, y'_max}(1), by the orbit scan
             w = longest.get(nu0)
-            want = () if w is None else solver.kl(w, longest[lam0])
+            want = () if w is None else solver.kl(y, w)
             traced, node = multiplicity(MultiplicityQuery(
                 datum, TruncatedWeight([lam0]), TruncatedWeight([nu0])),
                 trace=True)
             assert value == traced == base_multiplicity(datum, lam0, nu0) \
                 == sum(want), (coords, beta)
             if any(beta):
-                assert node.details["y"] == (
-                    None if w is None else list(w.word))
-                assert node.details.get("kl") == (
+                details = node.details
+                assert _names(group, details["y"], y), (coords, beta)
+                assert (details["y_max"] is None) == (w is None)
+                assert w is None or _names(group, details["y_max"], w)
+                assert details.get("kl") == (
                     None if w is None else str(KLPolynomial(want)))
             nonzero += bool(value) and any(beta)
     # full-rank and lower-rank integral groups, and values off the diagonal

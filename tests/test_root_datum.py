@@ -14,7 +14,8 @@ from fractions import Fraction
 from trunco import kostant_partition
 from trunco.root_datum import CartanType, RootDatum, Weight, build_root_datum
 
-from weyl_ops import act, act_root, bruhat_leq, identity, inverse, order
+from weyl_ops import (act, act_root, bruhat_leq, from_word, identity,
+                      inverse, order)
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
@@ -127,19 +128,19 @@ def test_a_group_too_large_to_list_is_refused_before_the_walk():
     assert len(group._vecs) == interned and group._elements is None
 
 
-def test_from_word_refuses_a_letter_outside_the_generators():
+def test_check_word_refuses_a_letter_outside_the_generators():
     group = build_root_datum("A2").weyl_group()
     for word in ((-1,), (2,), (0, 5, 1)):
         with pytest.raises(ValueError, match="outside 0..1"):
-            group.from_word(word)
+            group.check_word(word)
 
 
 def test_bruhat_examples():
     group = build_root_datum("A2").weyl_group()
     e = identity(group)
-    s1 = group.from_word((0,))
-    s1s2 = group.from_word((0, 1))
-    s2s1 = group.from_word((1, 0))
+    s1 = from_word(group, (0,))
+    s1s2 = from_word(group, (0, 1))
+    s2s1 = from_word(group, (1, 0))
     for w in group.elements():
         assert bruhat_leq(group, e, w)
         assert bruhat_leq(group, w, w)

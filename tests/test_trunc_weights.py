@@ -9,7 +9,7 @@ from trunco.trunc_weights import (TruncatedWeight, _singular_levi,
                                   find_twisting_word, n_dot, same_block)
 
 from levi_reference import dominant_walk, singular_roots, standard_levi
-from weyl_ops import act, act_root, mult
+from weyl_ops import act, act_root, from_word, mult
 
 
 def _tw(*coords):
@@ -193,7 +193,7 @@ def test_layer_search_leaves_the_group_unlisted():
 def test_n_dot_levels():
     a1 = build_root_datum("A1")
     group = a1.weyl_group()
-    s = group.from_word((0,))
+    s = from_word(group, (0,))
     # level 0 is the classical dot action: s.m = -m - 2
     lam = _tw((3,))
     assert n_dot(a1, s.word, lam)[0] == Weight((-5,))

@@ -4,17 +4,38 @@ Each is read off an element's canonical word or the group's `lmul` and
 `length` tables, so the checks that call them still test those tables.
 """
 
+import weakref
+
+# group -> its listed elements by id; listing keeps every id, so ids run
+# 0 .. order - 1 once a group is listed
+_BY_ID = weakref.WeakKeyDictionary()
+
+
+def element(group, w):
+    """The listed element of id w."""
+    by_id = _BY_ID.get(group)
+    if by_id is None:
+        by_id = _BY_ID[group] = sorted(group.elements(),
+                                       key=lambda e: e.index)
+    return by_id[w]
+
+
+def from_word(group, word):
+    """The listed element s_(i1) ... s_(ik) for the word (i1, ..., ik)."""
+    group.check_word(word)
+    return element(group, group._apply(word, 0))
+
 
 def identity(group):
-    return group.from_word(())
+    return from_word(group, ())
 
 
 def generator(group, i):
-    return group.from_word((i,))
+    return from_word(group, (i,))
 
 
 def inverse(w):
-    return w.group.from_word(tuple(reversed(w.word)))
+    return from_word(w.group, tuple(reversed(w.word)))
 
 
 def act_root(w, root):
@@ -53,7 +74,7 @@ def act_integral(desc, w, weight):
 
 def mult(group, x, y):
     """The listed element x y, read off the `lmul` rows from y's id."""
-    return group._element(group._apply(x.word, y.index))
+    return element(group, group._apply(x.word, y.index))
 
 
 def order(group):
