@@ -2,12 +2,12 @@
 
 A character is stored as a table {beta: dim} where beta runs over Z>=0
 combinations of the simple roots with height at most `depth`, and the
-entry is the dimension of the weight space at (base - beta).
+entry is the dimension of the weight space at (base - beta).  A Verma
+character is counted one way, by Kostant partitions (`verma_character`);
+the tests check it against an independent count of PBW monomials.
 """
 
 from __future__ import annotations
-
-import math
 
 
 def height(beta):
@@ -39,8 +39,7 @@ class PartitionCache:
         self.roots = [tuple(r) for r in positive_roots]
         # the length of the roots; only a rank-0 system has none
         self.rank = len(self.roots[0]) if self.roots else 0
-        self._memo = {}
-        self._counts = {}           # finished counts by beta
+        self._memo = {}     # (beta, start) -> count over roots[start:]
 
     def count(self, beta):
         """Ways to write the integer vector beta as a Z>=0 sum of the roots."""
@@ -56,10 +55,8 @@ class PartitionCache:
             beta = tuple(map(int, beta))
             if min(beta) < 0:
                 return 0
-        value = self._counts.get(beta)
-        if value is None:
-            value = self._counts[beta] = self._count(beta, 0)
-        return value
+        value = self._memo.get((beta, 0))
+        return self._count(beta, 0) if value is None else value
 
     def _count(self, beta, start):
         if all(b == 0 for b in beta):
@@ -87,65 +84,26 @@ def kostant_partition(datum, beta):
 
 def cone(rank, depth):
     """All nonnegative integer vectors of height <= depth, by height."""
-    if depth < 0:
-        raise ValueError("depth must be nonnegative, got %d" % depth)
+    if type(depth) is not int or depth < 0:
+        raise ValueError("depth must be a nonnegative integer, got %r"
+                         % (depth,))
     out = [()]
     for _ in range(rank):
         out = [v + (c,) for v in out for c in range(depth - height(v) + 1)]
     return sorted(out, key=lambda b: (height(b), b))
 
 
-def verma_character(datum, lam, depth, method="convolution"):
+def verma_character(datum, lam, depth):
     """Character of the Verma module with highest weight `lam` at level n.
 
     The table does not depend on the weight entries, only on the datum and
     the level: it is the (n+1)-fold convolution of the Kostant partition
     function, computed as the partition function of Phi^+ taken n+1 times.
-    `method="pbw"` instead counts monomials in the n+1 shifted copies of the
-    lowering operators directly; the two must agree.
     """
     datum.check_rank(lam[0])
-    n = lam.level
-    offsets = cone(datum.rank, depth)
-    if method == "convolution":
-        count = PartitionCache(datum.positive_roots * (n + 1)).count
-        table = {b: count(b) for b in offsets}
-    elif method == "pbw":
-        table = {b: _pbw_count(datum, b, n) for b in offsets}
-    else:
-        raise ValueError("unknown method %r" % method)
+    count = PartitionCache(datum.positive_roots * (lam.level + 1)).count
+    table = {b: count(b) for b in cone(datum.rank, depth)}
     return FormalCharacter(base=lam[0], depth=depth, table=table)
-
-
-def _pbw_count(datum, beta, n):
-    """Monomial count: multisets over (positive root, degree 0..n) with the
-    roots summing to beta.  Choosing a root m times across n+1 degrees gives
-    a binomial factor."""
-    roots = datum.positive_roots
-    memo = {}
-
-    def rec(rem, start):
-        if all(x == 0 for x in rem):
-            return 1
-        if start >= len(roots):
-            return 0
-        key = (rem, start)
-        if key in memo:
-            return memo[key]
-        total = 0
-        root = roots[start]
-        m = 0
-        current = rem
-        while True:
-            total += math.comb(m + n, n) * rec(current, start + 1)
-            current = tuple(x - y for x, y in zip(current, root))
-            m += 1
-            if any(x < 0 for x in current):
-                break
-        memo[key] = total
-        return total
-
-    return rec(tuple(int(b) for b in beta), 0)
 
 
 class DecompositionError(ValueError):

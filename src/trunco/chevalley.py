@@ -32,7 +32,6 @@ class ChevalleyBasis:
         self.roots = datum.positive_roots
         self.index = {r: i for i, r in enumerate(self.roots)}
         self._npos = {}
-        self.shifted = {}       # degree-shifted brackets, see oracle._Block
         self._build_constants()
         self._check_jacobi()
 

@@ -148,7 +148,7 @@ def cmd_character(args):
         raise CliError("need --lambda or --n")
     if args.n is not None and lam.level != args.n:
         raise CliError("--n disagrees with --lambda")
-    ch = verma_character(datum, lam, args.depth, method=args.method)
+    ch = verma_character(datum, lam, args.depth)
     entries = [{"beta": list(b), "dim": ch.table[b]}
                for b in sorted(ch.table, key=lambda b: (height(b), b))]
     out = {"base": str(ch.base), "entries": entries}
@@ -175,9 +175,20 @@ def cmd_oracle(args):
     return 0
 
 
+def engine_against_oracle(datum, lam, depth):
+    """(beta, nu, engine value, oracle value) for each offset beta of
+    height at most depth, with nu = (lambda_0 - beta, the tail of lambda):
+    `engine.multiplicity` against the oracle's decomposition of M_lambda."""
+    from . import oracle
+    dec = oracle.verma_decomposition(datum, lam, depth)
+    for beta in cone(datum.rank, depth):
+        nu = TruncatedWeight((lam[0] - datum.root_weight(beta),) + lam.tail())
+        value, _ = engine.multiplicity(engine.MultiplicityQuery(datum, lam, nu))
+        yield beta, nu, value, dec.get(beta, 0)
+
+
 def cmd_verify_suite(args):
     """Engine against oracle on a fixed small sweep."""
-    from . import oracle
     cases = [("A1", (lam0,), (tail,), 3)
              for tail in ((0,), (1,)) for lam0 in range(3)]
     cases += [("A2", (1, 1), (tail,), 2) for tail in ((0, 0), (1, 1), (1, -1))]
@@ -187,13 +198,7 @@ def cmd_verify_suite(args):
     for type_str, lam0, tail, depth in cases:
         datum = build_root_datum(type_str)
         lam = TruncatedWeight([Weight(lam0)] + [Weight(t) for t in tail])
-        dec = oracle.verma_decomposition(datum, lam, depth)
-        for beta in cone(datum.rank, depth):
-            nu0 = lam[0] - datum.root_weight(beta)
-            nu = TruncatedWeight((nu0,) + lam.tail())
-            value, _ = engine.multiplicity(
-                engine.MultiplicityQuery(datum, lam, nu))
-            expected = dec.get(tuple(beta), 0)
+        for _, nu, value, expected in engine_against_oracle(datum, lam, depth):
             checked += 1
             if value != expected:
                 mismatches += 1
@@ -263,8 +268,6 @@ def build_parser():
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--lambda", dest="lam", default=None)
     p.add_argument("--depth", type=int, required=True)
-    p.add_argument("--method", choices=["convolution", "pbw"],
-                   default="convolution")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_character)
 

@@ -207,10 +207,12 @@ def _kl_coeffs(group, x, y):
 
 def kl_polynomial(group, x, y):
     """The Kazhdan-Lusztig polynomial P_{x,y} for elements of `group`:
-    both listed elements, or both ids (`ReflectionGroup._apply`)."""
-    if type(x) is not int:
-        if x.group is not group or y.group is not group:
-            raise ValueError("x and y must be elements of this group")
+    both listed elements, or both ids (`ReflectionGroup._apply`) that the
+    group has interned; anything else raises ValueError."""
+    if not all(type(w) is int and 0 <= w < len(group._vecs) for w in (x, y)):
+        if not all(getattr(w, "group", None) is group for w in (x, y)):
+            raise ValueError("x and y must be both interned ids or both "
+                             "listed elements of this group")
         x, y = x.index, y.index
     return KLPolynomial(_kl_coeffs(group, x, y))
 
@@ -267,12 +269,11 @@ class BlockDescriptor:
     compared by identity.
     """
 
-    def __init__(self, datum, simples, group, lam0, shifted, pairings,
-                 dominant, drop, word):
+    def __init__(self, datum, simples, group, shifted, pairings, dominant,
+                 drop, word):
         self.datum = datum          # the ambient RootDatum
         self.simples = simples      # integral simples, ambient root coordinates
         self.group = group          # integral Weyl group, a ReflectionGroup
-        self.lam0 = lam0            # a Weight
         self.shifted = shifted      # lam0 + rho, group coordinates
         self.pairings = pairings    # <alpha_k, beta_j^vee>, row j
         self.dominant = dominant    # dominant point of the orbit of shifted
@@ -337,8 +338,8 @@ def block_descriptor(datum, lam0):
                         for b, coroot in zip(base, coroots))
         dominant, word, drop = group.descend(shifted)
         desc = datum._descriptors[lam0] = BlockDescriptor(
-            datum, simples, group, lam0, shifted, pairings, dominant,
-            tuple(drop), tuple(word))
+            datum, simples, group, shifted, pairings, dominant, tuple(drop),
+            tuple(word))
     return desc
 
 

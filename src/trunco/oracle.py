@@ -61,8 +61,8 @@ class _Block:
     up to a depth: the PBW basis, each generator's action on it, and the
     generator matrices on its weight spaces.
 
-    `spaces` and `position` hold the PBW monomials as tuples, each space
-    in lexicographic order.  Inside the block a monomial is a number: 0 is
+    `spaces` holds the PBW monomials as tuples, each space in
+    lexicographic order.  Inside the block a monomial is a number: 0 is
     the empty monomial, and every other one is its head generator's
     position prepended to the number of the rest, through one table keyed
     by (rest, head); `number` and `monomial` translate.  A generator is a
@@ -84,7 +84,6 @@ class _Block:
         self.depth = depth
         self.chev = ChevalleyBasis.get(datum)
         self.spaces = None
-        self.position = {}      # monomial -> index in its space
         self.width = datum.rank + 1
         degrees = range(self.n + 1)
         gens = self._gens = [(k, i, d) for k in ("f", "e") for i in
@@ -146,8 +145,8 @@ class _Block:
         for beta, space in spaces.items():
             space.reverse()
             ids[beta].reverse()
-            for k, (mono, m) in enumerate(zip(space, ids[beta])):
-                self.position[mono] = self._pos[m] = k
+            for k, m in enumerate(ids[beta]):
+                self._pos[m] = k
 
     def window(self, depth):
         """The weight spaces of height at most depth, in cone order."""
@@ -185,18 +184,19 @@ class _Block:
             m = self._rest[m]
         return tuple(mono)
 
-    def bracket(self, gen1, gen2):
-        """Bracket of two degree-shifted generators, dropping t^(>n); the
-        Chevalley basis keeps one list per generator pair."""
-        deg = gen1[2] + gen2[2]
-        if deg > self.n:
-            return []
-        chev, key = self.chev, (gen1, gen2)
-        if key not in chev.shifted:
-            x, y = ((k, i if k == "h" else chev.roots[i]) for k, i, _ in key)
-            chev.shifted[key] = [(c, (k, r if k == "h" else chev.index[r], deg))
-                                 for c, (k, r) in chev.bracket(x, y)]
-        return chev.shifted[key]
+    def bracket(self, g1, g2):
+        """Bracket of the generators numbered g1 and g2, dropping t^(>n),
+        as (integer coefficient, generator number) pairs, kept in
+        `_brackets`."""
+        key = g1 * self._ncodes + g2
+        if key not in self._brackets:
+            chev, gens = self.chev, (self._gens[g1], self._gens[g2])
+            deg = gens[0][2] + gens[1][2]
+            x, y = ((k, i if k == "h" else chev.roots[i]) for k, i, _ in gens)
+            self._brackets[key] = [] if deg > self.n else [
+                (c, self._code[k, r if k == "h" else chev.index[r], deg])
+                for c, (k, r) in chev.bracket(x, y)]
+        return self._brackets[key]
 
     def act(self, g, m):
         """Action of generator g on monomial m, in PBW normal form, both by
@@ -246,12 +246,10 @@ class _Block:
                 for t, c2 in moved.items():
                     k = t * width + j
                     out[k] = out.get(k, 0) + c * c2
-            bkey = g * nf + head
-            if bkey not in self._brackets:
-                self._brackets[bkey] = [
-                    (c, self._code[el]) for c, el in
-                    self.bracket(self._gens[g], self._gens[head])]
-            for cb, el in self._brackets[bkey]:
+            brackets = self._brackets.get(g * ncodes + head)
+            if brackets is None:
+                brackets = self.bracket(g, head)
+            for cb, el in brackets:
                 scale = 1 if self._affine[el] else width
                 terms = acts.get(rest * ncodes + el)
                 if terms is None:
@@ -325,16 +323,11 @@ class TruncatedModule:
         self.chev = block.chev
         self.block = block
         self.spaces = block.window(depth)
-        self.position = block.position
         self._values = (1,) + lam[0].coords
         self._integral = all(type(c) is int
                              for w in lam.components for c in w.coords)
 
     # -- the action ----------------------------------------------------
-
-    def _bracket_trunc(self, gen1, gen2):
-        """Bracket of two degree-shifted generators, dropping t^(>n)."""
-        return self.block.bracket(gen1, gen2)
 
     def act_gen(self, gen, mono):
         """Action of a generator (kind, index, degree) on a basis monomial.

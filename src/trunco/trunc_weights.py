@@ -48,15 +48,6 @@ class TruncatedWeight(Frozen):
     def tail(self):
         return self.components[1:]
 
-    def truncate(self, new_level):
-        return TruncatedWeight(self.components[:new_level + 1])
-
-    def restrict(self, indices):
-        """Restriction of every component to a standard Levi."""
-        idx = sorted(indices)
-        return TruncatedWeight(tuple(
-            Weight(tuple(c.coords[j] for j in idx)) for c in self.components))
-
     def __str__(self):
         return ",".join("[%s]" % ",".join(str(x) for x in c.coords)
                         for c in self.components)

@@ -6,14 +6,28 @@ and finds the Levi offset from the two twisted weights; nothing is kept
 between queries.  Level zero is the engine's base case.  `twist` chooses
 the twisting word and its Levi, (datum, mu) -> (word, J); it defaults to
 the engine's own `find_twisting_word`, and any other valid choice must
-give the same values.
+give the same values.  `truncate` and `restrict` cut a truncated weight to
+a lower level and to a standard Levi.
 """
 
 import itertools
 
 from trunco import engine
+from trunco.root_datum import Weight
 from trunco.trunc_weights import (TruncatedWeight, find_twisting_word, n_dot,
                                   same_block)
+
+
+def truncate(lam, level):
+    """The components of lam up to degree `level`."""
+    return TruncatedWeight(lam.components[:level + 1])
+
+
+def restrict(lam, indices):
+    """Restriction of every component of lam to a standard Levi."""
+    idx = sorted(indices)
+    return TruncatedWeight(tuple(
+        Weight(tuple(c.coords[j] for j in idx)) for c in lam.components))
 
 
 def multiplicity(datum, lam, nu, trace, twist=find_twisting_word):
@@ -53,8 +67,8 @@ def _reduce_level(datum, lam, nu, trace, twist):
         return 0, node
     sub = datum.sub_datum(levi)
     idx = sorted(levi)
-    lam_r = lam2.truncate(n - 1).restrict(idx)
-    nu_r = nu2.truncate(n - 1).restrict(idx)
+    lam_r = restrict(truncate(lam2, n - 1), idx)
+    nu_r = restrict(truncate(nu2, n - 1), idx)
     bounds = [delta[j] for j in idx]
     pfun = sub.partitions
     total = 0

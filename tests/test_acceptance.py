@@ -13,13 +13,16 @@ from fractions import Fraction
 import pytest
 
 from trunco import engine, kl, oracle
-from trunco.characters import cone, height, verma_character
+from trunco.characters import verma_character
+from trunco.cli import engine_against_oracle
 from trunco.engine import MultiplicityQuery
 from trunco.root_datum import Weight, build_root_datum
 from trunco.trunc_weights import TruncatedWeight, find_twisting_word, n_dot
 
 import conftest
+from engine_reference import restrict
 from klsolver import KLSolver
+from pbw_reference import pbw_character
 from weyl_ops import bruhat_leq, from_word, mult
 
 
@@ -87,12 +90,8 @@ def sweep_results():
         for tail in tails:
             for lam0 in lam0s:
                 lam = TruncatedWeight((lam0,) + tuple(Weight(t) for t in tail))
-                dec = oracle.verma_decomposition(datum, lam, SWEEP_DEPTH)
-                for beta in cone(datum.rank, SWEEP_DEPTH):
-                    nu0 = lam0 - datum.root_weight(beta)
-                    nu = TruncatedWeight((nu0,) + lam.tail())
-                    value = _engine_value(datum, lam, nu)
-                    expected = dec.get(beta, 0)
+                for beta, nu, value, expected in engine_against_oracle(
+                        datum, lam, SWEEP_DEPTH):
                     checked += 1
                     if value != expected:
                         mismatches.append(
@@ -123,7 +122,6 @@ def test_criterion_1_engine_oracle_equivalence(sweep_results):
 def test_criterion_2_regular_tail_simplicity():
     started = time.time()
     a1 = build_root_datum("A1")
-    alpha = a1.root_weight((1,))
     tails_top = [Fraction(x) for x in
                  (1, -1, "1/2", "2/3", "-5/2", 3, "7/3", "-1/3", 5, -4)]
     failures = []
@@ -133,13 +131,12 @@ def test_criterion_2_regular_tail_simplicity():
             for m in (0, 2):
                 lam = TruncatedWeight(
                     (Weight((m,)),) + tuple(Weight(t) for t in tail))
-                dec = oracle.verma_decomposition(a1, lam, 4)
-                if dec != {(0,): 1}:
-                    failures.append(("oracle", top, n, m, dec))
-                for k in range(5):
-                    nu = TruncatedWeight((lam[0] - k * alpha,) + lam.tail())
+                for (k,), _, value, expected in engine_against_oracle(
+                        a1, lam, 4):
                     want = 1 if k == 0 else 0
-                    if _engine_value(a1, lam, nu) != want:
+                    if expected != want:
+                        failures.append(("oracle", top, n, m, k))
+                    if value != want:
                         failures.append(("engine", top, n, m, k))
     _report(2, "nonzero top tail forces simple Vermas", failures, started)
     assert not failures, failures[:10]
@@ -190,18 +187,12 @@ def test_criterion_3_takiff_sl2_values():
     """
     started = time.time()
     a1 = build_root_datum("A1")
-    alpha = a1.root_weight((1,))
     failures = []
     for m in range(7):
-        lam = _tw((m,), (0,))
-        depth = m + 3
-        dec = oracle.verma_decomposition(a1, lam, depth)
-        for k in range(depth + 1):
+        for (k,), _, got_engine, got_oracle in engine_against_oracle(
+                a1, _tw((m,), (0,)), m + 3):
             want = _takiff_sl2_hand_sum(m, k)
             closed = _takiff_sl2_closed_form(m, k)
-            nu = TruncatedWeight((lam[0] - k * alpha,) + lam.tail())
-            got_engine = _engine_value(a1, lam, nu)
-            got_oracle = dec.get((k,), 0)
             if closed != want or got_engine != want or got_oracle != want:
                 failures.append((m, k, want, closed, got_engine, got_oracle))
     _report(3, "nilpotent-tail sl2 multiplicity table", failures, started)
@@ -215,8 +206,8 @@ def test_criterion_4_character_identity():
         datum = build_root_datum(t)
         for n in range(3):
             lam = TruncatedWeight([Weight((0,) * datum.rank)] * (n + 1))
-            conv = verma_character(datum, lam, 4, method="convolution")
-            pbw = verma_character(datum, lam, 4, method="pbw")
+            conv = verma_character(datum, lam, 4)
+            pbw = pbw_character(datum, lam, 4)
             if conv != pbw:
                 failures.append((t, n))
     _report(4, "convolution and PBW characters agree", failures, started)
@@ -230,7 +221,7 @@ def test_criterion_5_parabolic_invariants():
     module = oracle.build_verma(a2, lam, 3)
     ch = oracle.invariants_character(module, (0,))
     levi = a2.sub_datum((0,))
-    expected = verma_character(levi, lam.restrict((0,)), 3)
+    expected = verma_character(levi, restrict(lam, (0,)), 3)
     failures = []
     for beta in ch.table:
         want = expected.coefficient((beta[0],)) if beta[1] == 0 else 0

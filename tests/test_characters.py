@@ -3,11 +3,14 @@ import itertools
 import pytest
 from fractions import Fraction
 
-from trunco.characters import (DecompositionError, FormalCharacter,
+from trunco.characters import (DecompositionError, FormalCharacter, cone,
                                decompose_in_block, kostant_partition,
                                verma_character)
+from trunco.engine import multiplicity_table
 from trunco.root_datum import Weight, build_root_datum
 from trunco.trunc_weights import TruncatedWeight
+
+from pbw_reference import pbw_character
 
 
 def _tw(*coords):
@@ -109,9 +112,22 @@ def test_verma_character_methods_agree():
         depth = 4 if datum.rank < 3 else 3
         for n in range(3):
             lam = _tw(*(((0,) * datum.rank,) * (n + 1)))
-            a = verma_character(datum, lam, depth, method="convolution")
-            b = verma_character(datum, lam, depth, method="pbw")
+            a = verma_character(datum, lam, depth)
+            b = pbw_character(datum, lam, depth)
             assert a == b
+
+
+def test_depth_must_be_a_nonnegative_integer():
+    # a depth of 2.5 used to raise TypeError from range
+    a2 = build_root_datum("A2")
+    lam = _tw((0, 0), (1, 0))
+    for depth in (-1, 2.5, Fraction(2), True, "2"):
+        with pytest.raises(ValueError, match="nonnegative integer"):
+            cone(2, depth)
+        with pytest.raises(ValueError, match="nonnegative integer"):
+            verma_character(a2, lam, depth)
+        with pytest.raises(ValueError, match="nonnegative integer"):
+            multiplicity_table(a2, lam, depth)
 
 
 def test_decompose_simple_against_itself():

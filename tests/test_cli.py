@@ -5,6 +5,9 @@ import pytest
 from trunco import engine, oracle
 from trunco.cli import main, parse_weight, parse_word
 from trunco.root_datum import ReflectionGroup, Weight, build_root_datum
+from trunco.trunc_weights import TruncatedWeight
+
+from pbw_reference import pbw_character
 
 
 def run(capsys, *argv):
@@ -124,11 +127,15 @@ def test_character_command(capsys):
 
 
 def test_character_methods_agree(capsys):
-    args = ["character", "--type", "A2", "--n", "1",
-            "--lambda", "[0,0],[0,0]", "--depth", "3", "--json"]
-    _, out_a = run(capsys, *args, "--method", "convolution")
-    _, out_b = run(capsys, *args, "--method", "pbw")
-    assert json.loads(out_a) == json.loads(out_b)
+    # the command's Kostant-partition count against the PBW monomial count
+    _, out = run(capsys, "character", "--type", "A2", "--n", "1",
+                 "--lambda", "[0,0],[0,0]", "--depth", "3", "--json")
+    zero = Weight((0, 0))
+    pbw = pbw_character(build_root_datum("A2"),
+                        TruncatedWeight([zero, zero]), 3)
+    assert json.loads(out) == {"base": str(zero), "entries": [
+        {"beta": list(b), "dim": pbw.table[b]}
+        for b in sorted(pbw.table, key=lambda b: (sum(b), b))]}
 
 
 def test_oracle_command(capsys):

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from trunco import engine, kl, oracle
 from trunco.characters import cone
+from trunco.cli import engine_against_oracle
 from trunco.engine import MultiplicityQuery, multiplicity, multiplicity_table
 from trunco.root_datum import (ReflectionGroup, RootDatum, Weight,
                                build_root_datum)
@@ -196,10 +197,8 @@ def _oracle_blocks(draw):
 def test_engine_matches_oracle_on_random_blocks(case):
     type_str, lam, depth = case
     datum = build_root_datum(type_str)
-    dec = oracle.verma_decomposition(datum, lam, depth)
-    for beta in cone(datum.rank, depth):
-        nu = TruncatedWeight((lam[0] - datum.root_weight(beta),) + lam.tail())
-        assert _value(datum, lam, nu) == dec.get(beta, 0), (type_str, lam, beta)
+    for beta, _, value, expected in engine_against_oracle(datum, lam, depth):
+        assert value == expected, (type_str, lam, beta)
 
 
 # rank 3-4 blocks and level 2: integral, singular and non-integral lambda_0,
@@ -248,19 +247,15 @@ _ORACLE_GATE = (
 @pytest.mark.parametrize("type_str, lam, depth", _ORACLE_GATE,
                          ids=["%s %s" % (t, lam) for t, lam, _ in _ORACLE_GATE])
 def test_engine_matches_oracle_on_fixed_blocks(type_str, lam, depth):
-    datum = build_root_datum(type_str)
-    dec = oracle.verma_decomposition(datum, lam, depth)
-    wrong = []
-    for beta in cone(datum.rank, depth):
-        nu = TruncatedWeight((lam[0] - datum.root_weight(beta),) + lam.tail())
-        value = _value(datum, lam, nu)
-        if value != dec.get(beta, 0):
-            wrong.append((beta, value, dec.get(beta, 0)))
+    wrong = [(beta, value, expected) for beta, _, value, expected in
+             engine_against_oracle(build_root_datum(type_str), lam, depth)
+             if value != expected]
     assert wrong == []
 
 
 # (type, depth) of the dominant regular integral lambda_0 = 0 at level 0
-_BGG_BLOCKS = (("A3", 10), ("A4", 8), ("D4", 8), ("E6", 9))
+_BGG_BLOCKS = (("A3", 10), ("A4", 8), ("D4", 8), ("E6", 9), ("E7", 8),
+               ("E8", 8))
 
 
 @pytest.mark.parametrize("type_str, depth", _BGG_BLOCKS)

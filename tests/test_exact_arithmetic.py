@@ -119,8 +119,8 @@ def test_value_classes_are_frozen():
     desc = kl.block_descriptor(a2, weight)
     assert kl.block_descriptor(a2, weight) is desc
     copy = kl.BlockDescriptor(*(getattr(desc, f) for f in (
-        "datum", "simples", "group", "lam0", "shifted", "pairings",
-        "dominant", "drop", "y")))
+        "datum", "simples", "group", "shifted", "pairings", "dominant",
+        "drop", "word")))
     assert copy != desc and hash(copy) != hash(desc)
 
 

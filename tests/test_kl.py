@@ -37,6 +37,24 @@ def test_kl_polynomial_refuses_an_element_of_another_group():
         kl_polynomial(a2, a2.longest_element(), b2.longest_element())
 
 
+def test_kl_polynomial_refuses_bad_ids():
+    # an id is an int the group has interned: -1 used to wrap to the last
+    # id, a larger one raised IndexError, and an id next to a listed
+    # element AttributeError or TypeError
+    group = RootDatum(build_root_datum("B3").cartan).weyl_group()   # fresh
+    assert len(group._vecs) == 1
+    for x, y in ((0, -1), (-1, 0), (0, 1), (True, 0), (0, False), (0, 0.0),
+                 ("0", 0), (None, None)):
+        with pytest.raises(ValueError, match="interned ids"):
+            kl_polynomial(group, x, y)
+    w0 = group.longest_element()
+    for x, y in ((0, w0), (w0, 0), (w0, w0.index + 0.5)):
+        with pytest.raises(ValueError, match="interned ids"):
+            kl_polynomial(group, x, y)
+    e = group.elements()[0]
+    assert kl_polynomial(group, 0, w0.index) == kl_polynomial(group, e, w0)
+
+
 def test_kl_rank_two_all_one():
     for t in ("A2", "B2", "G2"):
         group = build_root_datum(t).weyl_group()

