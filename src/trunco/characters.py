@@ -3,8 +3,10 @@
 A character is stored as a table {beta: dim} where beta runs over Z>=0
 combinations of the simple roots with height at most `depth`, and the
 entry is the dimension of the weight space at (base - beta).  A Verma
-character is counted one way, by Kostant partitions (`verma_character`);
-the tests check it against an independent count of PBW monomials.
+character at level n is the datum's (n+1)-fold Kostant partition
+function (`verma_character`), whose k-fold counts the engine's folded
+levels read too; the oracle counts PBW monomials instead, and
+`oracle.build_verma` and the tests check the two against each other.
 """
 
 from __future__ import annotations
@@ -98,10 +100,10 @@ def verma_character(datum, lam, depth):
 
     The table does not depend on the weight entries, only on the datum and
     the level: it is the (n+1)-fold convolution of the Kostant partition
-    function, computed as the partition function of Phi^+ taken n+1 times.
+    function, the datum's partition function of Phi^+ taken n+1 times.
     """
     datum.check_rank(lam[0])
-    count = PartitionCache(datum.positive_roots * (lam.level + 1)).count
+    count = datum.fold_partitions(lam.level + 1).count
     table = {b: count(b) for b in cone(datum.rank, depth)}
     return FormalCharacter(base=lam[0], depth=depth, table=table)
 

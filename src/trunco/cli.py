@@ -192,6 +192,7 @@ def cmd_verify_suite(args):
     cases = [("A1", (lam0,), (tail,), 3)
              for tail in ((0,), (1,)) for lam0 in range(3)]
     cases += [("A2", (1, 1), (tail,), 2) for tail in ((0, 0), (1, 1), (1, -1))]
+    cases += [("A2", (1, 1), ((0, 0), (0, 0)), 3)]     # two folded levels
     # singular level-0 blocks whose leaves reach P_{y, y'_max} = 1 + q
     cases += [("A3", (-1, 0, -1), (), 3), ("D4", (1, 0, -1, -1), (), 3)]
     mismatches = checked = 0

@@ -5,9 +5,12 @@ group element making the top tail component singular along a standard Levi
 (the walk toward the dominant chamber of `find_twisting_word`; the value
 does not depend on which such element), apply the n-shifted dot action,
 drop the (now trivial) top component, restrict to the Levi, and convolve
-with the Levi's Kostant partition function.  Level zero is classical
-category O, answered by Kazhdan-Lusztig polynomials P_{y, y'_max} at
-q = 1, in the dominant convention of `kl`.  The datum
+with the Levi's Kostant partition function.  Tail components under the
+top that restrict to zero on the Levi twist by e onto the whole Levi, so
+a plan folds such a run into its level: one convolution with the k-fold
+partition function, traced as one node with `folded_levels` k.  Level
+zero is classical category O, answered by Kazhdan-Lusztig polynomials
+P_{y, y'_max} at q = 1, in the dominant convention of `kl`.  The datum
 keeps one plan per block tail, made from the tail alone: the twisting
 word, the Levi, the twisted tail, the block's values by (lambda_0, beta),
 and the plan of the Levi's block.  A query checks nu against lambda once,
@@ -126,12 +129,14 @@ class _BlockPlan:
     needs: the twisting word w of its top component, J ascending (the Levi
     of the twisted top component), the twisted tail, the Levi's datum and
     Cartan rows, and `sub_tail`, the twisted tail below the top restricted
-    to J, which is the child block's tail.  All of it comes from the tail
+    to J less its trailing zeros, which fold into this level: `partitions`
+    is J's `folds`-fold partition function.  All of it comes from the tail
     alone.  `memo` holds the block's values by (lambda_0, beta), and
-    `child` the child block's plan from its first use (None at level 1)."""
+    `child` the child block's plan from its first use (None when
+    `sub_tail` is empty)."""
 
     __slots__ = ("datum", "level", "word", "levi", "tail", "sub", "cartan",
-                 "sub_tail", "memo", "child")
+                 "sub_tail", "folds", "partitions", "memo", "child")
 
     def __init__(self, datum, tail):
         self.word, self.levi = find_twisting_word(datum, tail[-1])
@@ -140,8 +145,12 @@ class _BlockPlan:
         self.tail = tuple(act(self.word, mu) for mu in tail)
         self.sub = datum.sub_datum(self.levi)
         self.cartan, self.memo, self.child = self.sub.cartan, {}, None
-        self.sub_tail = tuple(Weight(tuple(mu.coords[j] for j in self.levi))
-                              for mu in self.tail[:-1])
+        sub_tail = [Weight(tuple(mu.coords[j] for j in self.levi))
+                    for mu in self.tail[:-1]]
+        while sub_tail and not any(sub_tail[-1].coords):
+            sub_tail.pop()
+        self.sub_tail, self.folds = tuple(sub_tail), self.level - len(sub_tail)
+        self.partitions = self.sub.fold_partitions(self.folds)
 
 
 def _block_plan(datum, tail):
@@ -173,6 +182,7 @@ def _reduce(plan, lam0, beta, trace):
         twisted = Weight(lam2_0)
         node = MultiplicityTrace("reduce", 0, {
             "n": n, "twisting_word": list(word), "levi": list(levi),
+            **({"folded_levels": plan.folds} if plan.folds > 1 else {}),
             "lambda_twisted": str(TruncatedWeight((twisted,) + plan.tail)),
             "nu_twisted": str(TruncatedWeight(
                 (twisted - datum.root_weight(delta),) + plan.tail)),
@@ -184,10 +194,10 @@ def _reduce(plan, lam0, beta, trace):
             node.details["reason"] = "weights not linked through the Levi"
         plan.memo[key] = 0
         return 0, node
-    if plan.child is None and n > 1:
+    if plan.child is None and plan.sub_tail:
         plan.child = _block_plan(plan.sub, plan.sub_tail)
     sub, child, cartan, total = plan.sub, plan.child, plan.cartan, 0
-    partitions, lam_r0 = sub.partitions, [lam2_0[j] for j in levi]
+    partitions, lam_r0 = plan.partitions, [lam2_0[j] for j in levi]
     for alpha in itertools.product(*(range(b + 1) for b in bounds)):
         count = partitions.count(alpha)
         if count == 0:

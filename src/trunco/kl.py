@@ -347,6 +347,8 @@ def _check_offset(datum, beta):
     if len(beta) != datum.rank:
         raise ValueError("offset %s has %d coordinates, expected %d"
                          % (tuple(beta), len(beta), datum.rank))
+    if not all(type(b) is int for b in beta):
+        raise ValueError("non-integer offset %r" % (tuple(beta),))
 
 
 def leaf_polynomial(datum, lam0, beta):

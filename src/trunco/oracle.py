@@ -14,7 +14,10 @@ action of degree >= 1 are therefore the same for each module of the block,
 and the degree-0 raising and Cartan actions are affine in lambda_0, with
 integer coefficients on its entries; each module evaluates those at its own
 lambda_0.  Inside the block, monomials and generators are numbered, so the
-memoized actions are keyed by integers.
+memoized actions are keyed by integers.  A decomposition takes its Verma
+character from the sizes of the weight spaces the block's walk lists, not
+from the partition functions the engine convolves with; `build_verma`
+checks the two against each other.
 
 Simple characters are extracted as quotients by the maximal proper
 submodule, which is computed weight space by weight space: a vector lies in
@@ -525,11 +528,14 @@ def verma_decomposition(datum, lam, depth):
     comparison of the Verma character with brute-force simple characters.
 
     Every simple asked for has lam's tail and fits in lam's depth, so all
-    the modules built here share one `_Block`, dropped on return."""
+    the modules built here share one `_Block`, dropped on return, whose
+    weight-space sizes are the Verma character."""
     key = (datum.key, lam, depth)
     if key not in _DECOMP_MEMO:
-        character = verma_character(datum, lam, depth)
+        datum.check_rank(lam[0])
         block = _Block(datum, lam.tail(), depth)
+        character = FormalCharacter(base=lam[0], depth=depth, table={
+            beta: len(space) for beta, space in block.window(depth).items()})
 
         def provider(beta):
             eta0 = lam[0] - datum.root_weight(beta)

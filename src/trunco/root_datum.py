@@ -268,7 +268,7 @@ class RootDatum:
                                      for row in inverse)
         self._inverse_den = den
         self.rho = Weight((1,) * self.rank)
-        self._groups = {}
+        self._groups, self._partitions = {}, {}
         # filled by the engine and the KL layer: block plans by tail,
         # level-zero values by (lambda_0, beta), block descriptors by
         # lambda_0, integral subsystems by the fractional parts of lambda_0
@@ -334,10 +334,16 @@ class RootDatum:
         return RootDatum.interned(tuple(tuple(self.cartan[i][j] for j in idx)
                                         for i in idx))
 
-    @functools.cached_property
+    @property
     def partitions(self):
         """Kostant partition function of the positive roots."""
-        return PartitionCache(self.positive_roots)
+        return self.fold_partitions(1)
+
+    def fold_partitions(self, k):
+        """The k-fold convolution of `partitions`: Phi^+ taken k times."""
+        if k not in self._partitions:
+            self._partitions[k] = PartitionCache(self.positive_roots * k)
+        return self._partitions[k]
 
     # -- roots and pairings -------------------------------------------
 

@@ -3,10 +3,13 @@ tests as the reference for `engine._reduce` and its block plans.
 
 Each query searches its own twisting word, twists lambda and nu by `n_dot`,
 and finds the Levi offset from the two twisted weights; nothing is kept
-between queries.  Level zero is the engine's base case.  `twist` chooses
-the twisting word and its Levi, (datum, mu) -> (word, J); it defaults to
-the engine's own `find_twisting_word`, and any other valid choice must
-give the same values.  `truncate` and `restrict` cut a truncated weight to
+between queries.  It reduces one level at a time, also where the engine
+folds a run of levels into one convolution with a k-fold partition
+function, so the tests check those folds against it.  Level zero is the
+engine's base case.  `twist` chooses the twisting word and its Levi,
+(datum, mu) -> (word, J); it defaults to the engine's own
+`find_twisting_word`, and any other valid choice must give the same
+values.  `truncate` and `restrict` cut a truncated weight to
 a lower level and to a standard Levi.
 """
 

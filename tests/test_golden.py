@@ -28,6 +28,15 @@ only when a change of output is meant: `PYTHONPATH=src python3
 tests/test_golden.py`.  The values alone are pinned apart from the traces,
 by `VALUE_DIGEST`, which that command never rewrites: a change of trace
 format must leave it as it is.
+
+Both files moved once, with no value, when the engine began to fold the
+tail components under the top that restrict to zero on the Levi into one
+level: such a reduce node prints `folded_levels` k, the k-fold partition
+counts and, as children, the nodes k levels down.  In `golden_cli.json`
+five `mult --trace` cases moved, those with a zero component under the
+top (A2, B2, G2 and two A3).  In `golden_traces.json` 138 of the 1047
+entries moved: 33 fold on a nonempty Levi, and the rest have a regular
+top component, whose empty Levi folds every level below it.
 """
 
 import collections

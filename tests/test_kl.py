@@ -544,3 +544,16 @@ def test_an_offset_of_the_wrong_length_is_refused():
             leaf_polynomial(datum, lam0, beta)
     assert offset_multiplicity(datum, lam0, (0, 0)) == 1
     assert offset_multiplicity(datum, lam0, (1, 0)) == 1
+
+
+def test_an_offset_with_a_non_integer_entry_is_refused():
+    # a float is refused by type, as `PartitionCache.count` does: 1.0 == 1,
+    # so (1.0, 0) would read as alpha_1, and (1.5, 0) as no weight at all
+    datum = build_root_datum("A2")
+    lam0 = Weight((0, 0))
+    for beta in ((1.0, 0), (1.5, 0), (0, Fraction(1, 2)), (0.0, 0.0)):
+        with pytest.raises(ValueError, match="non-integer offset"):
+            offset_multiplicity(datum, lam0, beta)
+        with pytest.raises(ValueError, match="non-integer offset"):
+            leaf_polynomial(datum, lam0, beta)
+    assert offset_multiplicity(datum, lam0, (1, 0)) == 1
