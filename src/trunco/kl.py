@@ -386,11 +386,12 @@ def leaf_polynomial(datum, lam0, beta):
 def offset_multiplicity(datum, lam0, beta):
     """[M_{lam0} : L_{lam0 - beta}] over the untruncated algebra (level
     n = 0), for beta a tuple of Z>=0 coefficients of the simple roots."""
+    if any(beta):
+        # leaf_polynomial checks beta
+        leaf = leaf_polynomial(datum, lam0, beta)
+        return 0 if leaf is None else sum(leaf[1])
     _check_offset(datum, beta)
-    if not any(beta):
-        return 1
-    leaf = leaf_polynomial(datum, lam0, beta)
-    return 0 if leaf is None else sum(leaf[1])
+    return 1
 
 
 def base_multiplicity(datum, lam0, nu0):

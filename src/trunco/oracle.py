@@ -14,10 +14,9 @@ action of degree >= 1 are therefore the same for each module of the block,
 and the degree-0 raising and Cartan actions are affine in lambda_0, with
 integer coefficients on its entries; each module evaluates those at its own
 lambda_0.  Inside the block, monomials and generators are numbered, so the
-memoized actions are keyed by integers.  A decomposition takes its Verma
-character from the sizes of the weight spaces the block's walk lists, not
-from the partition functions the engine convolves with; `build_verma`
-checks the two against each other.
+memoized actions are keyed by integers.  A decomposition reads its Verma
+character off the sizes of the block's weight spaces, which `build_verma`
+checks against the convolution `verma_character` counts.
 
 Simple characters are extracted as quotients by the maximal proper
 submodule, which is computed weight space by weight space: a vector lies in

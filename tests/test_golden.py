@@ -35,8 +35,9 @@ level: such a reduce node prints `folded_levels` k, the k-fold partition
 counts and, as children, the nodes k levels down.  In `golden_cli.json`
 five `mult --trace` cases moved, those with a zero component under the
 top (A2, B2, G2 and two A3).  In `golden_traces.json` 138 of the 1047
-entries moved: 33 fold on a nonempty Levi, and the rest have a regular
-top component, whose empty Levi folds every level below it.
+entries moved (139 of the 1100 queries): 33 fold on a nonempty Levi, and
+the other 105 have a regular top component, whose empty Levi folds every
+level below it.
 """
 
 import collections
